@@ -106,13 +106,23 @@ Tensor Executor::view(const ir::Memlet& m) {
 Tensor Executor::view(const ir::Memlet& m, const std::string& viewdims) {
   Tensor& t = tensor(m.data);
   if (m.subset.dims() == 0) return t;
-  std::set<int> keep;
-  size_t pos = 0;
-  while (pos < viewdims.size()) {
-    size_t comma = viewdims.find(',', pos);
-    if (comma == std::string::npos) comma = viewdims.size();
-    keep.insert(std::stoi(viewdims.substr(pos, comma - pos)));
-    pos = comma + 1;
+  // viewdims is a comma-separated list of the container dims the view
+  // keeps; parsed into a bit mask (library handlers call this per node
+  // execution, so it must not allocate).
+  uint64_t keep = 0;
+  int64_t dim = -1;
+  for (size_t i = 0; !viewdims.empty() && i <= viewdims.size(); ++i) {
+    char c = i < viewdims.size() ? viewdims[i] : ',';
+    if (c >= '0' && c <= '9') {
+      dim = (dim < 0 ? 0 : dim * 10) + (c - '0');
+      DACE_CHECK(dim < 64, "executor: viewdims dim out of range in '",
+                 viewdims, "'");
+      continue;
+    }
+    DACE_CHECK(c == ',' && dim >= 0, "executor: malformed viewdims '",
+               viewdims, "'");
+    keep |= uint64_t{1} << dim;
+    dim = -1;
   }
   std::vector<int64_t> b, e, s;
   std::vector<bool> drop;
@@ -120,7 +130,7 @@ Tensor Executor::view(const ir::Memlet& m, const std::string& viewdims) {
     b.push_back(eval(m.subset.range(d).begin));
     e.push_back(eval(m.subset.range(d).end));
     s.push_back(eval(m.subset.range(d).step));
-    drop.push_back(!keep.count((int)d));
+    drop.push_back(d >= 64 || !(keep >> d & 1));
   }
   return t.slice(b, e, s, drop);
 }
@@ -347,21 +357,24 @@ int64_t chunk_min_ns() {
 }  // namespace
 
 int Executor::plan_chunks(const TieredProgram& tp, int tier, int64_t iters) {
-  int nt = ThreadPool::global().num_threads();
-  if (!tp.prog.kernel_plan) return nt;  // legacy static split
+  if (!tp.prog.kernel_plan)  // legacy static split
+    return ThreadPool::global().num_threads();
   double nspi = tp.ns_per_iter[tier];
   if (nspi <= 0.0) {
     // Pre-measurement heuristic: cost scales with bytecode length;
     // native code retires an "instruction" far faster than the VM.
     nspi = (double)tp.prog.code.size() * (tier == 1 ? 0.4 : 2.5);
   }
-  double total = nspi * (double)iters;
-  if (total < (double)chunk_min_ns()) return 1;
+  return work_chunks(nspi * (double)iters, iters);
+}
+
+int Executor::work_chunks(double total_ns, int64_t iters, int min_chunks) {
+  if (total_ns < (double)chunk_min_ns()) return 1;
   double per_chunk = (double)chunk_target_ns();
-  int chunks = (int)((total + per_chunk - 1.0) / per_chunk);
-  chunks = std::max(chunks, 1);
+  int chunks = (int)((total_ns + per_chunk - 1.0) / per_chunk);
+  chunks = std::max(chunks, min_chunks);
   chunks = (int)std::min<int64_t>(chunks, iters);
-  return std::min(chunks, nt);
+  return std::min(chunks, ThreadPool::global().num_threads());
 }
 
 void Executor::update_cost(TieredProgram& tp, int tier, int64_t iters,

@@ -93,6 +93,13 @@ class Executor {
   Tensor view(const ir::Memlet& m, const std::string& viewdims);
   int64_t eval(const sym::Expr& e) const;
 
+  /// Chunk count for `total_ns` of estimated work over `iters`
+  /// independent iterations: 1 (run inline, the pool stays asleep) when
+  /// cheaper than DACE_CHUNK_MIN_NS, else about DACE_CHUNK_TARGET_NS of
+  /// work per chunk but at least `min_chunks`, capped by `iters` and the
+  /// pool size.  Shared by the map scheduler and the library handlers.
+  static int work_chunks(double total_ns, int64_t iters, int min_chunks = 1);
+
   VMStats& stats() { return stats_; }
   /// Number of top-level map executions ("kernel launches").
   int64_t map_launches() const { return map_launches_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 
 namespace dace::rt {
 
@@ -53,6 +54,22 @@ void ThreadPool::worker_loop(int index) {
 }
 
 void ThreadPool::run_on(int k, function_ref<void(int)> body) {
+  // Marks the calling thread as inside a parallel region (nested
+  // parallel_for calls then run inline), also when body throws.
+  struct Region {
+    Region() { in_parallel_region_ = true; }
+    ~Region() { in_parallel_region_ = false; }
+  };
+  // One dispatch owns job_/active_/pending_ at a time.  A concurrent
+  // external submitter (another executor's thread) must not overwrite
+  // them, and waiting for the pool would only serialize it behind work
+  // it cannot help with -- it runs its own ranges inline instead.
+  std::unique_lock<std::mutex> submit(submit_mu_, std::try_to_lock);
+  if (!submit.owns_lock()) {
+    Region region;
+    for (int w = 0; w < k; ++w) body(w);
+    return;
+  }
   {
     std::lock_guard<std::mutex> lk(mu_);
     job_ = body;
@@ -61,11 +78,18 @@ void ThreadPool::run_on(int k, function_ref<void(int)> body) {
     ++generation_;
   }
   cv_start_.notify_all();
-  in_parallel_region_ = true;
-  body(0);
-  in_parallel_region_ = false;
+  std::exception_ptr error;
+  {
+    Region region;
+    try {
+      body(0);
+    } catch (...) {
+      error = std::current_exception();  // workers still hold body
+    }
+  }
   std::unique_lock<std::mutex> lk(mu_);
   cv_done_.wait(lk, [&] { return pending_ == 0; });
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::run_on_all(function_ref<void(int)> body) {

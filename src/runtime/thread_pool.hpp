@@ -5,6 +5,12 @@
 // like `#pragma omp parallel for schedule(static)`).  A process-global
 // pool is shared by all executors; the worker count defaults to the
 // hardware concurrency and can be overridden with DACEPP_NUM_THREADS.
+//
+// Any thread may submit work: serve workers and simMPI rank threads each
+// drive their own Executor against the one global pool.  The pool runs
+// one dispatch at a time; a submitter that finds it busy runs its ranges
+// inline on its own thread instead of waiting (or clobbering the shared
+// job slot), so concurrent submitters never block each other.
 #pragma once
 
 #include <condition_variable>
@@ -85,11 +91,13 @@ class ThreadPool {
   void worker_loop(int index);
   /// Dispatch job_ to workers [0, k); workers >= k skip the generation
   /// without touching the job.  Caller runs index 0 and blocks for the
-  /// rest.  Precondition: k >= 2, not nested, num_threads_ > 1.
+  /// rest.  If another submitter owns the pool, the caller runs body(0..k)
+  /// inline instead.  Precondition: k >= 2, not nested, num_threads_ > 1.
   void run_on(int k, function_ref<void(int)> body);
 
   int num_threads_;
   std::vector<std::thread> workers_;
+  std::mutex submit_mu_;  // held by the one submitter dispatching to workers
   std::mutex mu_;
   std::condition_variable cv_start_, cv_done_;
   function_ref<void(int)> job_;  // worker index -> work

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "runtime/tensor_ops.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -183,6 +186,50 @@ TEST(ThreadPool, NestedCallsRunInline) {
     });
   });
   EXPECT_EQ(total.load(), 8);
+}
+
+TEST(ThreadPool, ConcurrentSubmittersGetExactSums) {
+  // Serve workers and simMPI ranks each drive an Executor against the one
+  // shared pool.  Every submitter must see its own ranges run exactly
+  // once, whether it wins the pool or runs inline because another
+  // submitter holds it.
+  ThreadPool pool(4);
+  constexpr int kSubmitters = 8, kRounds = 300;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kSubmitters; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        int64_t n = 64 + 37 * t + r % 50;
+        std::atomic<int64_t> sum{0};
+        auto body = [&](int64_t lo, int64_t hi) {
+          int64_t s = 0;
+          for (int64_t i = lo; i < hi; ++i) s += i + 1;
+          sum += s;
+        };
+        if (r % 2)
+          pool.parallel_for(n, body);
+        else
+          pool.parallel_for(n, 1 + r % 4, body);
+        if (sum.load() != n * (n + 1) / 2) ++wrong;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(ThreadPool, ThrowingChunkLeavesPoolUsable) {
+  ThreadPool pool(4);
+  EXPECT_THROW(pool.parallel_for(
+                   64, 4,
+                   [&](int64_t lo, int64_t) {
+                     if (lo == 0) throw Error("chunk failed");
+                   }),
+               Error);
+  std::atomic<int64_t> n{0};
+  pool.parallel_for(64, 4, [&](int64_t lo, int64_t hi) { n += hi - lo; });
+  EXPECT_EQ(n.load(), 64);
 }
 
 TEST(Allclose, DetectsDifferences) {
