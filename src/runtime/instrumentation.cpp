@@ -6,9 +6,7 @@
 #include <vector>
 
 #include "common/diag.hpp"
-#include "common/metrics.hpp"
 #include "common/obs.hpp"
-#include "common/profdb.hpp"
 
 namespace dace::rt {
 
@@ -106,50 +104,6 @@ std::string Instrumenter::summary() const {
     os << line;
   }
   return os.str();
-}
-
-void flush_profiles_to_db(const Instrumenter& inst,
-                          const std::vector<MapFlush>& maps) {
-  try {
-    prof::ProfileDB& db = prof::ProfileDB::instance();
-    if (!db.enabled()) return;
-    const std::string pass = prof::last_rewrite();
-    for (const MapFlush& m : maps) {
-      if (m.launches <= 0 || m.program_hash == 0) continue;
-      prof::MapProfile delta;
-      delta.program_hash = m.program_hash;
-      delta.label = m.label;
-      delta.runs = 1;
-      delta.launches = m.launches;
-      delta.iterations = m.iterations;
-      delta.tier = m.tier;
-      delta.ns_per_iter[0] = m.ns_per_iter[0];
-      delta.ns_per_iter[1] = m.ns_per_iter[1];
-      delta.last_pass = pass;
-      // Tier-0 VMStats only exist when the run was instrumented; an
-      // uninstrumented flush stores zeros (counters sum, so a later
-      // instrumented run fills them in).
-      auto it = inst.profiles().find({m.state, m.node});
-      if (it != inst.profiles().end()) {
-        delta.instrs = it->second.vm.instrs;
-        delta.flops = it->second.vm.flops;
-        delta.loads = it->second.vm.loads;
-        delta.stores = it->second.vm.stores;
-      }
-      if (db.merge_map(delta)) {
-        METRIC_INC("dacepp_profdb_flushes_total");
-        if (obs::enabled()) {
-          std::ostringstream a;
-          a << "{\"map\":\"" << diag::json_escape(m.label)
-            << "\",\"tier\":" << m.tier
-            << ",\"iterations\":" << m.iterations << "}";
-          obs::instant("profdb", "flush", a.str());
-        }
-      }
-    }
-  } catch (...) {
-    // Profile persistence must never take down a teardown path.
-  }
 }
 
 }  // namespace dace::rt

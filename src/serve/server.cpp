@@ -94,8 +94,14 @@ ServeConfig ServeConfig::from_env() {
 // Internal structures
 // ---------------------------------------------------------------------------
 
+// The socket fd is fixed for the Conn's lifetime and closed only by its
+// destructor, after the last reader, worker or job reference is gone:
+// threads that retire a connection shut it down instead, so no thread
+// can ever reach a closed (or reused) fd number through a Conn.
 struct Server::Conn {
-  int fd = -1;
+  explicit Conn(int f) : fd(f) {}
+  ~Conn() { ::close(fd); }
+  const int fd;
   uint64_t id = 0;
   std::mutex write_mu;       // replies race: reader vs worker threads
   std::atomic<bool> open{true};
@@ -220,19 +226,13 @@ bool Server::start(std::string* why) {
 
 void Server::stop() {
   if (!running_.exchange(false)) return;
-  // Unblock the accept loop, then everything downstream.
-  accepting_.store(false);
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
+  // Retire the accept loop, then unblock everything downstream.
+  close_listener();
   {
     std::lock_guard<std::mutex> lk(mu_);
     for (auto& c : conns_) {
       c->open.store(false);
-      if (c->fd >= 0) ::shutdown(c->fd, SHUT_RDWR);
+      ::shutdown(c->fd, SHUT_RDWR);
     }
   }
   queue_cv_.notify_all();
@@ -246,13 +246,9 @@ void Server::stop() {
   }
   readers_.clear();
   {
-    // Readers joined above normally close their own fd; this sweeps any
-    // connection whose reader never observed the shutdown.
+    // Readers joined above normally remove their own connection; this
+    // drops any whose reader never observed the shutdown.
     std::lock_guard<std::mutex> lk(mu_);
-    for (auto& c : conns_) {
-      if (c->fd >= 0) ::close(c->fd);
-      c->fd = -1;
-    }
     conns_.clear();
   }
   ::unlink(sock_path_.c_str());
@@ -268,13 +264,7 @@ bool Server::drain() {
   draining_.store(true);
   // Stop accepting new connections; existing readers keep answering
   // (Run gets E610 from here on).
-  accepting_.store(false);
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
+  close_listener();
 
   // Wait, bounded, for the queue and every in-flight job to finish;
   // deadlines and the watchdog guarantee progress.
@@ -301,23 +291,31 @@ bool Server::drain() {
 // Accept / read
 // ---------------------------------------------------------------------------
 
+void Server::close_listener() {
+  // shutdown() wakes the accept loop's poll, which then sees accepting_
+  // false and exits; the fd is closed only after that thread is joined,
+  // so accept() can never reach a closed (or reused) fd number.
+  accepting_.store(false);
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+  listen_fd_ = -1;
+}
+
 void Server::accept_loop() {
+  // listen_fd_ stays open and unchanged until close_listener() has
+  // joined this thread, so it is read here without synchronization.
   while (running_.load() && accepting_.load()) {
-    // Snapshot the fd: drain()/stop() close it and write -1 concurrently,
-    // and poll(-1) would "succeed" by timing out, spinning this loop.
-    int lfd = listen_fd_;
-    if (lfd < 0) return;
-    struct pollfd p = {lfd, POLLIN, 0};
+    struct pollfd p = {listen_fd_, POLLIN, 0};
     int pr = ::poll(&p, 1, 100);
     if (!running_.load() || !accepting_.load()) return;
     if (pr <= 0) continue;
-    int fd = ::accept(lfd, nullptr, nullptr);
+    int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR || errno == EAGAIN) continue;
-      return;  // listener closed (drain/stop)
+      return;  // listener shut down (drain/stop)
     }
-    auto conn = std::make_shared<Conn>();
-    conn->fd = fd;
+    auto conn = std::make_shared<Conn>(fd);
     {
       std::lock_guard<std::mutex> lk(mu_);
       conn->id = next_conn_id_++;
@@ -353,13 +351,7 @@ void Server::reader_loop(std::shared_ptr<Conn> conn) {
     if (!handle_frame(conn, d.frame)) break;
   }
   conn->open.store(false);
-  {
-    // Close under the write lock so a worker mid-reply never races a
-    // reused descriptor; writers check fd under the same lock.
-    std::lock_guard<std::mutex> wl(conn->write_mu);
-    if (conn->fd >= 0) ::close(conn->fd);
-    conn->fd = -1;
-  }
+  ::shutdown(conn->fd, SHUT_RDWR);  // the peer sees EOF now
   std::lock_guard<std::mutex> lk(mu_);
   queue_.forget_flow(conn->id);
   conns_.erase(std::remove(conns_.begin(), conns_.end(), conn), conns_.end());
@@ -370,16 +362,14 @@ bool Server::handle_frame(const std::shared_ptr<Conn>& conn, const Frame& f) {
     case Verb::Ping: {
       std::string why;
       std::lock_guard<std::mutex> wl(conn->write_mu);
-      return conn->fd >= 0 &&
-             write_frame(conn->fd, Verb::ReplyOk,
+      return write_frame(conn->fd, Verb::ReplyOk,
                          "{\"status\":\"ok\",\"pong\":1}", &why);
     }
     case Verb::Stats: {
       std::string payload = stats_json();
       std::string why;
       std::lock_guard<std::mutex> wl(conn->write_mu);
-      return conn->fd >= 0 &&
-             write_frame(conn->fd, Verb::ReplyOk, payload, &why);
+      return write_frame(conn->fd, Verb::ReplyOk, payload, &why);
     }
     case Verb::Metrics: {
       // Live registry snapshot, Prometheus text format.  Answered inline
@@ -387,8 +377,7 @@ bool Server::handle_frame(const std::shared_ptr<Conn>& conn, const Frame& f) {
       std::string payload = metrics::expose_text();
       std::string why;
       std::lock_guard<std::mutex> wl(conn->write_mu);
-      return conn->fd >= 0 &&
-             write_frame(conn->fd, Verb::ReplyOk, payload, &why);
+      return write_frame(conn->fd, Verb::ReplyOk, payload, &why);
     }
     case Verb::Run:
       break;
@@ -709,8 +698,7 @@ void Server::finish_job(const std::shared_ptr<Job>& job) {
                 "\"," + job->body + "}";
       std::string why;
       std::lock_guard<std::mutex> wl(conn->write_mu);
-      if (conn->fd < 0 ||
-          !write_frame(conn->fd, Verb::ReplyOk, payload, &why))
+      if (!write_frame(conn->fd, Verb::ReplyOk, payload, &why))
         conn->open.store(false);
     } else {
       reply_error(conn, id, job->code, job->message);
@@ -728,8 +716,7 @@ void Server::reply_error(const std::shared_ptr<Conn>& conn,
   }
   std::string why;
   std::lock_guard<std::mutex> wl(conn->write_mu);
-  if (conn->fd < 0 ||
-      !write_frame(conn->fd, Verb::ReplyError, payload, &why))
+  if (!write_frame(conn->fd, Verb::ReplyError, payload, &why))
     conn->open.store(false);
 }
 

@@ -193,6 +193,9 @@ class Server {
   struct Inflight;
   struct Conn;
 
+  /// Stop accepting: wake and join the accept thread, then close the
+  /// listener (drain() and stop()).
+  void close_listener();
   void accept_loop();
   void reader_loop(std::shared_ptr<Conn> conn);
   void worker_loop();
@@ -217,9 +220,7 @@ class Server {
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
   // Separate from running_: drain() retires the listener while the rest
-  // of the daemon keeps serving, and the accept loop must exit even when
-  // it was between poll() calls as the listener fd was closed (polling
-  // the then -1 fd would otherwise spin on timeouts forever).
+  // of the daemon keeps serving.
   std::atomic<bool> accepting_{false};
 
   std::thread accept_thread_;
