@@ -138,11 +138,12 @@ void Executor::run(Bindings& args, const sym::SymbolMap& symbols) {
         throw err("executor: refusing to run '", sdfg_.name(),
                   "', static analysis found errors:\n", report.to_string());
     }
+    build_plan();
     validated_ = true;
   }
   syms_ = symbols;
   // Check all free symbols are provided.
-  for (const auto& s : sdfg_.free_symbols()) {
+  for (const auto& s : free_symbols_) {
     DACE_CHECK(syms_.count(s), "executor: missing symbol '", s, "'");
   }
   env_.clear();
@@ -152,6 +153,7 @@ void Executor::run(Bindings& args, const sym::SymbolMap& symbols) {
     env_.emplace(an, it->second);  // shallow view, shared buffer
   }
   allocate_transients();
+  ++run_gen_;  // env_ is final for this run: map programs rebind lazily
 
   int cur = sdfg_.start_state();
   int64_t steps = 0;
@@ -161,22 +163,23 @@ void Executor::run(Bindings& args, const sym::SymbolMap& symbols) {
       throw err("cancelled: run aborted at state boundary");
     }
     const ir::State& st = sdfg_.state(cur);
+    StatePlan& plan = state_plan(cur);
     // States are instrumented only via their explicit attribute; the
     // DACE_INSTRUMENT default applies at launch granularity.
     if (st.instrument != ir::Instrument::Off) {
       VMStats before = stats_;
       int64_t t0 = obs::now_ns();
-      execute_state(st);
+      execute_state(st, cur, plan);
       VMStats d = stats_delta(before);
       inst_->record("state", cur, -1, st.label(), st.instrument, t0,
                     obs::now_ns() - t0, 0, 1, &d);
     } else {
-      execute_state(st);
+      execute_state(st, cur, plan);
     }
     if (opts_.post_state_hook) opts_.post_state_hook(st, syms_);
     DACE_CHECK(++steps < kMaxSteps, "executor: state machine did not halt");
     int next = -1;
-    for (size_t ei : sdfg_.out_interstate(cur)) {
+    for (size_t ei : plan.out_edges) {
       const ir::InterstateEdge& e = sdfg_.interstate_edges()[ei];
       bool taken = true;
       if (e.condition.valid()) {
@@ -184,9 +187,10 @@ void Executor::run(Bindings& args, const sym::SymbolMap& symbols) {
       }
       if (!taken) continue;
       // Evaluate all assignments against the pre-transition symbol values.
-      std::vector<std::pair<std::string, int64_t>> vals;
-      for (const auto& [k, v] : e.assignments) vals.emplace_back(k, eval(v));
-      for (const auto& [k, v] : vals) syms_[k] = v;
+      assign_vals_.clear();
+      for (const auto& [k, v] : e.assignments) assign_vals_.push_back(eval(v));
+      for (size_t i = 0; i < assign_vals_.size(); ++i)
+        syms_[e.assignments[i].first] = assign_vals_[i];
       next = e.dst;
       break;
     }
@@ -194,7 +198,42 @@ void Executor::run(Bindings& args, const sym::SymbolMap& symbols) {
   }
 }
 
-void Executor::notify_launch(const std::string& kind, const VMStats& before) {
+void Executor::build_plan() {
+  std::set<std::string> fs = sdfg_.free_symbols();
+  free_symbols_.assign(fs.begin(), fs.end());
+  std::vector<int> ids = sdfg_.state_ids();
+  plans_.resize(ids.empty() ? 0 : (size_t)ids.back() + 1);
+}
+
+Executor::StatePlan& Executor::state_plan(int sid) {
+  StatePlan& plan = plans_.at((size_t)sid);
+  if (plan.built) return plan;
+  // Top-level nodes only; nodes inside map scopes execute via the VM.
+  // Access nodes and map exits do nothing at run time and get no step.
+  const ir::State& st = sdfg_.state(sid);
+  std::set<int> inner;
+  for (int id : st.node_ids()) {
+    if (st.node(id)->kind == ir::NodeKind::MapEntry &&
+        st.scope_of(id) == -1) {
+      for (int s : st.scope_nodes(id)) inner.insert(s);
+    }
+  }
+  plan.steps.clear();
+  for (int id : st.topological_order()) {
+    ir::NodeKind kind = st.node(id)->kind;
+    if (inner.count(id) || kind == ir::NodeKind::Access ||
+        kind == ir::NodeKind::MapExit)
+      continue;
+    plan.steps.emplace_back();
+    plan.steps.back().node = id;
+    plan.steps.back().kind = kind;
+  }
+  plan.out_edges = sdfg_.out_interstate(sid);
+  plan.built = true;
+  return plan;
+}
+
+void Executor::notify_launch(const char* kind, const VMStats& before) {
   if (!opts_.launch_hook) return;
   opts_.launch_hook(kind, stats_delta(before));
 }
@@ -209,31 +248,20 @@ VMStats Executor::stats_delta(const VMStats& before) const {
   return d;
 }
 
-void Executor::execute_state(const ir::State& st) {
-  // Top-level nodes only; nodes inside map scopes execute via the VM.
-  std::set<int> inner;
-  for (int id : st.node_ids()) {
-    if (st.node(id)->kind == ir::NodeKind::MapEntry &&
-        st.scope_of(id) == -1) {
-      for (int s : st.scope_nodes(id)) inner.insert(s);
-    }
-  }
-  for (int id : st.topological_order()) {
-    if (inner.count(id)) continue;
-    const ir::Node* n = st.node(id);
-    switch (n->kind) {
-      case ir::NodeKind::Access:
-        break;
+void Executor::execute_state(const ir::State& st, int sid, StatePlan& plan) {
+  for (Step& step : plan.steps) {
+    const ir::Node* n = st.node(step.node);
+    switch (step.kind) {
       case ir::NodeKind::Tasklet: {
         VMStats before = stats_;
         ir::Instrument im =
             inst_->active() ? inst_->effective(*n) : ir::Instrument::Off;
         int64_t t0 = im != ir::Instrument::Off ? obs::now_ns() : 0;
-        execute_tasklet(st, id);
+        execute_tasklet(st, step.node);
         notify_launch("tasklet", before);
         if (im != ir::Instrument::Off) {
           VMStats d = stats_delta(before);
-          inst_->record("tasklet", sdfg_.state_id(&st), id,
+          inst_->record("tasklet", sid, step.node,
                         static_cast<const ir::Tasklet*>(n)->name, im, t0,
                         obs::now_ns() - t0, 0, 1, &d);
         }
@@ -246,38 +274,39 @@ void Executor::execute_state(const ir::State& st) {
         int64_t t0 = im != ir::Instrument::Off ? obs::now_ns() : 0;
         int tier = 0;
         int64_t iters = 0;
-        execute_map(st, id, &tier, &iters);
+        execute_map(st, step, &tier, &iters);
         notify_launch("map", before);
         if (im != ir::Instrument::Off) {
           // Tier-1 runs produce no VMStats; only attach the delta when the
           // VM interpreted the map, so instrs/iter stays meaningful.
           VMStats d = stats_delta(before);
-          inst_->record("map", sdfg_.state_id(&st), id,
+          inst_->record("map", sid, step.node,
                         static_cast<const ir::MapEntry*>(n)->name, im, t0,
                         obs::now_ns() - t0, tier, iters,
                         tier == 0 ? &d : nullptr);
         }
         break;
       }
-      case ir::NodeKind::MapExit:
-        break;
       case ir::NodeKind::Library: {
         VMStats before = stats_;
         ir::Instrument im =
             inst_->active() ? inst_->effective(*n) : ir::Instrument::Off;
         int64_t t0 = im != ir::Instrument::Off ? obs::now_ns() : 0;
-        execute_library(st, id);
+        execute_library(st, step);
         notify_launch("library", before);
         if (im != ir::Instrument::Off) {
           VMStats d = stats_delta(before);
-          inst_->record("library", sdfg_.state_id(&st), id, n->label(), im,
-                        t0, obs::now_ns() - t0, 0, 1, &d);
+          inst_->record("library", sid, step.node, n->label(), im, t0,
+                        obs::now_ns() - t0, 0, 1, &d);
         }
         break;
       }
       case ir::NodeKind::NestedSDFG:
-        execute_nested(st, id);
+        execute_nested(st, step);
         break;
+      case ir::NodeKind::Access:
+      case ir::NodeKind::MapExit:
+        break;  // never planned
     }
   }
 }
@@ -356,47 +385,61 @@ void Executor::update_cost(TieredProgram& tp, int tier, int64_t iters,
   ema = ema <= 0.0 ? nspi : 0.5 * ema + 0.5 * nspi;
 }
 
-void Executor::execute_map(const ir::State& st, int node, int* tier_used,
-                           int64_t* iters_out) {
-  *tier_used = 0;
-  *iters_out = 0;
-  const auto* me = st.node_as<const ir::MapEntry>(node);
-  int sid = sdfg_.state_id(&st);
-  auto key = std::make_pair(sid, node);
-  auto it = programs_.find(key);
-  if (it == programs_.end()) {
-    int64_t c0 = obs::enabled() ? obs::now_ns() : 0;
-    TieredProgram tp;
-    tp.prog = compile_map_scope(sdfg_, st, node);
-    if (bc_opt_) optimize_program(tp.prog);
-    it = programs_.emplace(key, std::move(tp)).first;
-    if (obs::enabled()) {
-      std::ostringstream a;
-      a << "{\"map\":\"" << diag::json_escape(me->name)
-        << "\",\"instructions\":" << it->second.prog.code.size() << "}";
-      obs::complete("executor", "compile-map", c0, obs::now_ns() - c0,
-                    a.str());
-    }
-  }
-  TieredProgram& tp = it->second;
+void Executor::bind_program(TieredProgram& tp) {
   const Program& prog = tp.prog;
-
-  // Bind array slots and symbol slots.
-  std::vector<ArrayRef> arrays(prog.arrays.size());
-  for (size_t i = 0; i < prog.arrays.size(); ++i) {
+  size_t na = prog.arrays.size(), ns = prog.symbols.size();
+  tp.arrays.resize(na);
+  tp.bases.resize(na);
+  tp.bytes.resize(na);
+  for (size_t i = 0; i < na; ++i) {
     Tensor& t = tensor(prog.arrays[i]);
     DACE_CHECK(t.contiguous(),
                "executor: map operand '", prog.arrays[i],
                "' must be contiguous");
-    arrays[i] = ArrayRef{t.data(), t.dtype()};
+    tp.arrays[i] = ArrayRef{t.data(), t.dtype()};
+    tp.bases[i] = t.data();
+    tp.bytes[i] = sizeof(double) * (size_t)t.size();
   }
-  std::vector<int64_t> symvals(prog.symbols.size());
-  for (size_t i = 0; i < prog.symbols.size(); ++i) {
+  tp.sym_slots.resize(ns);
+  tp.symvals.resize(ns);
+  for (size_t i = 0; i < ns; ++i) {
     auto sit = syms_.find(prog.symbols[i]);
     DACE_CHECK(sit != syms_.end(), "executor: unbound symbol '",
                prog.symbols[i], "' in map");
-    symvals[i] = sit->second;
+    tp.sym_slots[i] = &sit->second;
   }
+  tp.bound_run = run_gen_;
+}
+
+void Executor::execute_map(const ir::State& st, Step& entry, int* tier_used,
+                           int64_t* iters_out) {
+  *tier_used = 0;
+  *iters_out = 0;
+  const auto* me = static_cast<const ir::MapEntry*>(st.node(entry.node));
+  if (!entry.prog) {
+    int64_t c0 = obs::enabled() ? obs::now_ns() : 0;
+    auto tp = std::make_unique<TieredProgram>();
+    tp->prog = compile_map_scope(sdfg_, st, entry.node);
+    if (bc_opt_) optimize_program(tp->prog);
+    entry.prog = std::move(tp);
+    if (obs::enabled()) {
+      std::ostringstream a;
+      a << "{\"map\":\"" << diag::json_escape(me->name)
+        << "\",\"instructions\":" << entry.prog->prog.code.size() << "}";
+      obs::complete("executor", "compile-map", c0, obs::now_ns() - c0,
+                    a.str());
+    }
+  }
+  TieredProgram& tp = *entry.prog;
+  const Program& prog = tp.prog;
+
+  // Operand and symbol slots are bound at the first launch of each run;
+  // only the symbol values change between launches.
+  if (tp.bound_run != run_gen_) bind_program(tp);
+  for (size_t i = 0; i < tp.sym_slots.size(); ++i)
+    tp.symvals[i] = *tp.sym_slots[i];
+  const std::vector<ArrayRef>& arrays = tp.arrays;
+  const std::vector<int64_t>& symvals = tp.symvals;
 
   ++map_launches_;
   if (opts_.cancel_check && opts_.cancel_check()) {
@@ -440,17 +483,14 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
   // fall back to the VM on overlap.
   bool restrict_ok = true;
   if (prog.use_restrict) {
-    std::vector<std::pair<uintptr_t, uintptr_t>> spans(arrays.size());
-    for (size_t i = 0; i < arrays.size(); ++i) {
-      uintptr_t b = reinterpret_cast<uintptr_t>(arrays[i].base);
-      spans[i] = {b, b + sizeof(double) *
-                          (size_t)tensor(prog.arrays[i]).size()};
-    }
-    for (size_t i = 0; i < spans.size() && restrict_ok; ++i)
-      for (size_t j = i + 1; j < spans.size() && restrict_ok; ++j)
-        if (spans[i].first < spans[j].second &&
-            spans[j].first < spans[i].second)
+    for (size_t i = 0; i < arrays.size() && restrict_ok; ++i) {
+      uintptr_t bi = reinterpret_cast<uintptr_t>(arrays[i].base);
+      for (size_t j = i + 1; j < arrays.size() && restrict_ok; ++j) {
+        uintptr_t bj = reinterpret_cast<uintptr_t>(arrays[j].base);
+        if (bi < bj + tp.bytes[j] && bj < bi + tp.bytes[i])
           restrict_ok = false;
+      }
+    }
   }
 
   if (jit_ok && tp.native) {
@@ -461,8 +501,8 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
       tp.native.reset();
     } else if (state == NativeProgram::kReady && restrict_ok) {
       cg::MapNativeFn fn = tp.native->fn;
-      std::vector<double*> bases(arrays.size());
-      for (size_t i = 0; i < arrays.size(); ++i) bases[i] = arrays[i].base;
+      double* const* bases = tp.bases.data();
+      const int64_t* svals = symvals.data();
       ++native_launches_;
       *tier_used = 1;
       std::atomic<int64_t> guard_err{0};
@@ -472,9 +512,9 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
       if (!parallel || chunks <= 1) {
         int64_t e = 0;
         if (prog.splittable) {
-          fn(bases.data(), symvals.data(), begin, end, &e);
+          fn(bases, svals, begin, end, &e);
         } else {
-          fn(bases.data(), symvals.data(), 0, 0, &e);
+          fn(bases, svals, 0, 0, &e);
         }
         if (e) guard_err.store(e, std::memory_order_relaxed);
       } else {
@@ -489,7 +529,7 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
                 return;
               }
               int64_t e = 0;
-              fn(bases.data(), symvals.data(), begin + lo * step,
+              fn(bases, svals, begin + lo * step,
                  begin + hi * step, &e);
               if (e) guard_err.store(e, std::memory_order_relaxed);
             });
@@ -571,27 +611,23 @@ void Executor::execute_map(const ir::State& st, int node, int* tier_used,
   }
 }
 
-void Executor::execute_library(const ir::State& st, int node) {
-  const auto* l = st.node_as<const ir::LibraryNode>(node);
-  const LibraryHandler* h = LibraryRegistry::global().find(l->op);
-  DACE_CHECK(h != nullptr, "executor: no implementation for library node '",
-             l->op, "'");
+void Executor::execute_library(const ir::State& st, Step& step) {
+  if (!step.handler) {
+    const auto* l = st.node_as<const ir::LibraryNode>(step.node);
+    step.handler = LibraryRegistry::global().find(l->op);
+    DACE_CHECK(step.handler != nullptr,
+               "executor: no implementation for library node '", l->op, "'");
+  }
   ++library_calls_;
-  (*h)(*this, st, node);
+  (*step.handler)(*this, st, step.node);
 }
 
-void Executor::execute_nested(const ir::State& st, int node) {
-  const auto* nn = st.node_as<const ir::NestedSDFGNode>(node);
-  int sid = sdfg_.state_id(&st);
-  auto key = std::make_pair(sid, node);
-  auto it = children_.find(key);
-  if (it == children_.end()) {
-    auto child = std::make_unique<Executor>(*nn->sdfg, opts_);
-    child->comm_context = comm_context;
-    it = children_.emplace(key, std::move(child)).first;
-  }
-  Executor& child = *it->second;
+void Executor::execute_nested(const ir::State& st, Step& step) {
+  const auto* nn = st.node_as<const ir::NestedSDFGNode>(step.node);
+  if (!step.child) step.child = std::make_unique<Executor>(*nn->sdfg, opts_);
+  Executor& child = *step.child;
   child.comm_context = comm_context;
+  int node = step.node;
 
   Bindings child_args;
   for (const auto* e : st.in_edges(node)) {
@@ -605,8 +641,10 @@ void Executor::execute_nested(const ir::State& st, int node) {
   }
   sym::SymbolMap child_syms = syms_;
   for (const auto& [k, v] : nn->symbol_mapping) child_syms[k] = eval(v);
+  // The child's statistics accumulate over its runs: add this visit's.
+  VMStats before = child.stats_;
   child.run(child_args, child_syms);
-  stats_ += child.stats();
+  stats_ += child.stats_delta(before);
 }
 
 void execute(const ir::SDFG& sdfg, Bindings& args,

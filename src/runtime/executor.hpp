@@ -7,12 +7,22 @@
 // thread pool.  Library nodes dispatch through an extensible registry
 // (Section 3.2: library specialization); the distributed and device
 // modules register additional handlers (comm::*, PBLAS, ...).
+//
+// Execution plan: the graph is analysed once per Executor, not per state
+// visit.  Each state gets a cached step list (its top-level nodes in
+// topological order, with their compiled map program or child executor)
+// and the indices of its out-going interstate edges; each map program
+// binds its operand tensors and symbol cells once per run() and reuses
+// its argument buffers across launches.  docs/RUNTIME.md ("Executor
+// plan") describes what is built when.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "ir/sdfg.hpp"
 #include "runtime/bytecode.hpp"
@@ -72,6 +82,11 @@ struct ExecutorOptions {
 Program compile_map_scope(const ir::SDFG& sdfg, const ir::State& st,
                           int entry);
 
+/// Immutability contract: the SDFG must not change after an Executor's
+/// first run().  The executor caches per-state step lists, interstate
+/// edge lists, compiled map programs, child executors and the SDFG's free
+/// symbols on first use, and never re-reads the graph structure.  Build a
+/// new Executor after transforming the SDFG.
 class Executor {
  public:
   explicit Executor(const ir::SDFG& sdfg, ExecutorOptions opts = {});
@@ -120,18 +135,6 @@ class Executor {
   void* comm_context = nullptr;
 
  private:
-  void allocate_transients();
-  void notify_launch(const std::string& kind, const VMStats& before);
-  VMStats stats_delta(const VMStats& before) const;
-  void execute_state(const ir::State& st);
-  void execute_tasklet(const ir::State& st, int node);
-  /// `tier_used`/`iters_out` report which tier dispatched the map and how
-  /// many outer iterations it ran (instrumentation bookkeeping).
-  void execute_map(const ir::State& st, int node, int* tier_used,
-                   int64_t* iters_out);
-  void execute_library(const ir::State& st, int node);
-  void execute_nested(const ir::State& st, int node);
-
   /// Per-map tiered execution state: the (optimized) Tier-0 bytecode plus
   /// promotion bookkeeping and, once hot, the shared native handle.
   struct TieredProgram {
@@ -144,7 +147,50 @@ class Executor {
     // cost-driven chunk scheduler.
     double ns_per_iter[2] = {0.0, 0.0};
     bool plan_reported = false;  // kernel-plan obs instant emitted once
+    // Run-bound slots (bind_program): operand buffers and symbol cells
+    // resolved at the program's first launch in run `bound_run`.  env_
+    // and the symbol map only gain entries during a run, so the pointers
+    // stay valid until the next run() rebinds them.
+    uint64_t bound_run = 0;
+    std::vector<ArrayRef> arrays;
+    std::vector<double*> bases;
+    std::vector<size_t> bytes;  // extent of each operand buffer
+    std::vector<const int64_t*> sym_slots;
+    std::vector<int64_t> symvals;  // refreshed from sym_slots per launch
   };
+
+  /// One top-level node of a state, in execution order.
+  struct Step {
+    int node = -1;
+    ir::NodeKind kind = ir::NodeKind::Access;
+    std::unique_ptr<TieredProgram> prog;  // MapEntry: built at first launch
+    std::unique_ptr<Executor> child;      // NestedSDFG: built at first visit
+    const LibraryHandler* handler = nullptr;  // Library: found at first call
+  };
+
+  /// Per-state plan, built at the state's first visit.
+  struct StatePlan {
+    bool built = false;
+    std::vector<Step> steps;
+    std::vector<size_t> out_edges;  // indices into interstate_edges()
+  };
+
+  /// Plan builder: the SDFG's free symbols and one empty StatePlan per
+  /// state at the first run; each state's steps at its first visit.
+  void build_plan();
+  StatePlan& state_plan(int sid);
+  void bind_program(TieredProgram& tp);
+  void allocate_transients();
+  void notify_launch(const char* kind, const VMStats& before);
+  VMStats stats_delta(const VMStats& before) const;
+  void execute_state(const ir::State& st, int sid, StatePlan& plan);
+  void execute_tasklet(const ir::State& st, int node);
+  /// `tier_used`/`iters_out` report which tier dispatched the map and how
+  /// many outer iterations it ran (instrumentation bookkeeping).
+  void execute_map(const ir::State& st, Step& entry, int* tier_used,
+                   int64_t* iters_out);
+  void execute_library(const ir::State& st, Step& step);
+  void execute_nested(const ir::State& st, Step& step);
 
   /// Cost-driven chunk count for a parallel dispatch at `tier`: sized so
   /// each chunk runs ~DACE_CHUNK_TARGET_NS of measured (or estimated)
@@ -161,10 +207,11 @@ class Executor {
   sym::SymbolMap syms_;
   Bindings env_;
   Bindings persistent_;  // persistent transients survive across run()
-  // Compiled map programs, keyed by (state id, entry node id).
-  std::map<std::pair<int, int>, TieredProgram> programs_;
-  // Child executors for nested SDFG nodes.
-  std::map<std::pair<int, int>, std::unique_ptr<Executor>> children_;
+  // Execution plan (see the immutability contract above), by state id.
+  std::vector<StatePlan> plans_;
+  std::vector<std::string> free_symbols_;  // checked at every run()
+  std::vector<int64_t> assign_vals_;  // interstate assignment scratch
+  uint64_t run_gen_ = 0;              // run() counter, for slot binding
   VMStats stats_;
   std::unique_ptr<Instrumenter> inst_;
   TierConfig tier_cfg_;

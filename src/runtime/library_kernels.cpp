@@ -23,27 +23,35 @@ namespace dace::rt {
 
 namespace {
 
+// Operand lookup runs on every library call: scan the state's edge list
+// in place and return attributes by reference, so it never allocates.
 const ir::Edge* edge_by_dst_conn(const ir::State& st, int node,
                                  const std::string& conn) {
-  for (const auto* e : st.in_edges(node)) {
-    if (e->dst_conn == conn) return e;
+  for (const auto& e : st.edges()) {
+    if (e.dst == node && e.dst_conn == conn) return &e;
   }
   throw err("library: missing input connector '", conn, "'");
 }
 
 const ir::Edge* edge_by_src_conn(const ir::State& st, int node,
                                  const std::string& conn) {
-  for (const auto* e : st.out_edges(node)) {
-    if (e->src_conn == conn) return e;
+  for (const auto& e : st.edges()) {
+    if (e.src == node && e.src_conn == conn) return &e;
   }
   throw err("library: missing output connector '", conn, "'");
 }
 
-std::string attr_or(const ir::LibraryNode& l, const std::string& key,
-                    const std::string& fallback) {
+const std::string& attr_or(const ir::LibraryNode& l, const std::string& key,
+                           const std::string& fallback) {
   auto it = l.attrs.find(key);
   return it == l.attrs.end() ? fallback : it->second;
 }
+
+// A temporary fallback would dangle: pass one of these statics.
+const std::string& attr_or(const ir::LibraryNode&, const std::string&,
+                           std::string&&) = delete;
+const std::string kNoViewdims;
+const std::string kSum = "sum";
 
 // Estimated cost of one multiply-add of the matrix-vector kernels below
 // (single core, operands streaming from L2/L3).  A product runs inline
@@ -182,8 +190,8 @@ void matmul_handler(Executor& ex, const ir::State& st, int node) {
   const ir::Edge* ea = edge_by_dst_conn(st, node, "_a");
   const ir::Edge* eb = edge_by_dst_conn(st, node, "_b");
   const ir::Edge* ec = edge_by_src_conn(st, node, "_c");
-  Tensor a = ex.view(ea->memlet, attr_or(*l, "viewdims_a", ""));
-  Tensor b = ex.view(eb->memlet, attr_or(*l, "viewdims_b", ""));
+  Tensor a = ex.view(ea->memlet, attr_or(*l, "viewdims_a", kNoViewdims));
+  Tensor b = ex.view(eb->memlet, attr_or(*l, "viewdims_b", kNoViewdims));
   Tensor out = ex.view(ec->memlet);
   if (!matmul_in_place(ex, a, b, out)) out.assign_from(ops::matmul(a, b));
   // Account FLOPs in the executor statistics (2mnk).
@@ -268,9 +276,9 @@ void reduce_handler(Executor& ex, const ir::State& st, int node) {
   const auto* l = st.node_as<const ir::LibraryNode>(node);
   const ir::Edge* ein = edge_by_dst_conn(st, node, "_in");
   const ir::Edge* eout = edge_by_src_conn(st, node, "_out");
-  Tensor in = ex.view(ein->memlet, attr_or(*l, "viewdims_in", ""));
+  Tensor in = ex.view(ein->memlet, attr_or(*l, "viewdims_in", kNoViewdims));
   Tensor out = ex.view(eout->memlet);
-  std::string op = attr_or(*l, "op", "sum");
+  const std::string& op = attr_or(*l, "op", kSum);
   auto axis_it = l->attrs.find("axis");
   bool has_axis = axis_it != l->attrs.end();
   int axis = has_axis ? std::stoi(axis_it->second) : -1;

@@ -49,6 +49,8 @@ rt::Bindings clone_bindings(const rt::Bindings& b);
 /// Tier1Native (auto-opt + synchronous JIT promotion at threshold 1)
 /// only joins the comparison when DACE_FUZZ_TIER1=1: it needs a host
 /// compiler and exercises the kernel-plan codegen path end to end.
+/// AutoOpt and Tier1Native run one executor twice and compare the second
+/// run, so executor plan reuse is checked against the oracle.
 enum class Config { Eager, Tier0VM, OptimizedVM, AutoOpt, Tier1Native };
 constexpr int kNumConfigs = 4;  // default configs (Tier1Native is opt-in)
 const char* config_name(Config c);

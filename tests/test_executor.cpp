@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <cstring>
 #include <random>
+#include <string>
 
 #include "common/common.hpp"
 #include "frontend/lowering.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/tensor_ops.hpp"
+#include "transforms/auto_optimize.hpp"
 
 namespace dace {
 namespace {
@@ -352,6 +356,250 @@ def f(A: dace.float64[N], B: dace.float64[N]):
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ExecutorSizeSweep,
                          ::testing::Values(1, 2, 3, 7, 64, 1000));
+
+// -- executor plan reuse ------------------------------------------------------
+// One Executor plans each state once and binds map operands once per run.
+// Every test runs a single executor repeatedly and checks each run
+// bit-for-bit against a fresh executor given the same inputs, on the
+// native tier (every map promoted synchronously at its first launch).
+
+/// Scoped environment override; restores the previous value on exit.
+class EnvGuard {
+ public:
+  EnvGuard(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old, had_old_ = true;
+    setenv(name, value, 1);
+  }
+  ~EnvGuard() {
+    if (had_old_) setenv(name_.c_str(), old_.c_str(), 1);
+    else unsetenv(name_.c_str());
+  }
+
+ private:
+  std::string name_, old_;
+  bool had_old_ = false;
+};
+
+class ExecutorPlan : public ::testing::Test {
+ protected:
+  EnvGuard thr_{"DACEPP_JIT_THRESHOLD", "1"};
+  EnvGuard sync_{"DACEPP_JIT_SYNC", "1"};
+};
+
+/// Deep copy: fresh buffers with the same values.
+Bindings clone(const Bindings& b) {
+  Bindings out;
+  for (const auto& [name, t] : b) out.emplace(name, t.copy());
+  return out;
+}
+
+void expect_bitwise(const Bindings& got, const Bindings& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [name, w] : want) {
+    const Tensor& g = got.at(name);
+    ASSERT_EQ(g.shape(), w.shape()) << name;
+    for (int64_t i = 0; i < w.size(); ++i) {
+      double a = g.get_flat(i), b = w.get_flat(i);
+      ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0)
+          << "'" << name << "'[" << i << "]: " << a << " vs " << b;
+    }
+  }
+}
+
+/// Run `ex` on `args` (in place) and a fresh executor on a copy of them;
+/// both must leave bit-identical tensors.
+void run_against_fresh(rt::Executor& ex, Bindings& args,
+                       const sym::SymbolMap& syms) {
+  Bindings want = clone(args);
+  rt::Executor fresh(ex.sdfg());
+  fresh.run(want, syms);
+  ex.run(args, syms);
+  expect_bitwise(args, want);
+}
+
+TEST_F(ExecutorPlan, NewArgumentBuffersEveryRun) {
+  auto sdfg = compile_to_sdfg(R"(
+@dace.program
+def f(A: dace.float64[N, N], x: dace.float64[N], y: dace.float64[N]):
+    y[:] = A @ x + y
+    for i in dace.map[0:N]:
+        x[i] = 2.0 * y[i] - x[i]
+)");
+  xf::auto_optimize(*sdfg, ir::DeviceType::CPU);
+  rt::Executor ex(*sdfg);
+  const int64_t n = 24;
+  for (unsigned run = 0; run < 4; ++run) {
+    Bindings args{{"A", random_tensor({n, n}, 10 * run + 1)},
+                  {"x", random_tensor({n}, 10 * run + 2)},
+                  {"y", random_tensor({n}, 10 * run + 3)}};
+    run_against_fresh(ex, args, {{"N", n}});
+  }
+  EXPECT_GT(ex.native_launches(), 0);
+}
+
+TEST_F(ExecutorPlan, NewSymbolValuesResizeTransients) {
+  auto sdfg = compile_to_sdfg(R"(
+@dace.program
+def f(A: dace.float64[N], B: dace.float64[N]):
+    tmp = A * 2.0
+    B[:] = tmp + B
+)");
+  bool has_transient = false;
+  for (const auto& [name, d] : sdfg->arrays()) has_transient |= d.transient;
+  ASSERT_TRUE(has_transient);
+  rt::Executor ex(*sdfg);
+  for (int64_t n : {8, 13, 5, 13}) {
+    Bindings args{{"A", random_tensor({n}, (unsigned)n)},
+                  {"B", random_tensor({n}, (unsigned)n + 100)}};
+    run_against_fresh(ex, args, {{"N", n}});
+  }
+}
+
+TEST_F(ExecutorPlan, AliasedArgumentsTakeTheVmFallback) {
+  auto sdfg = compile_to_sdfg(R"(
+@dace.program
+def f(A: dace.float64[N], B: dace.float64[N]):
+    for i in dace.map[0:N]:
+        B[i] = 2.0 * A[i] + B[i]
+)");
+  // The map must be compiled with __restrict__ operands for the alias
+  // check to matter.
+  bool restricted = false;
+  for (int sid : sdfg->state_ids()) {
+    const ir::State& st = sdfg->state(sid);
+    for (int id : st.node_ids())
+      if (st.node(id)->kind == ir::NodeKind::MapEntry &&
+          st.scope_of(id) == -1)
+        restricted |= rt::compile_map_scope(*sdfg, st, id).use_restrict;
+  }
+  ASSERT_TRUE(restricted);
+  const int64_t n = 64;
+  rt::Executor ex(*sdfg);
+  Bindings disjoint{{"A", random_tensor({n}, 1)}, {"B", random_tensor({n}, 2)}};
+  run_against_fresh(ex, disjoint, {{"N", n}});
+  int64_t native = ex.native_launches();
+  ASSERT_GT(native, 0);
+
+  // Both arguments view one buffer: the native launch is skipped.
+  Tensor shared = random_tensor({n}, 3);
+  Tensor shared_fresh = shared.copy();
+  Bindings aliased{{"A", shared}, {"B", shared}};
+  Bindings aliased_fresh{{"A", shared_fresh}, {"B", shared_fresh}};
+  int64_t launches = ex.map_launches();
+  ex.run(aliased, {{"N", n}});
+  rt::Executor fresh(*sdfg);
+  fresh.run(aliased_fresh, {{"N", n}});
+  expect_bitwise(aliased, aliased_fresh);
+  EXPECT_GT(ex.map_launches(), launches);
+  EXPECT_EQ(ex.native_launches(), native);
+  EXPECT_EQ(fresh.native_launches(), 0);
+
+  // Disjoint again: back on the native tier.
+  Bindings again{{"A", random_tensor({n}, 4)}, {"B", random_tensor({n}, 5)}};
+  run_against_fresh(ex, again, {{"N", n}});
+  EXPECT_GT(ex.native_launches(), native);
+}
+
+TEST_F(ExecutorPlan, NestedSdfgInALoop) {
+  auto sdfg = compile_to_sdfg(R"(
+@dace.program
+def scale(A: dace.float64[N]):
+    A[:] = A * 0.5 + 1.0
+
+@dace.program
+def f(A: dace.float64[N], B: dace.float64[N]):
+    for t in range(T):
+        scale(A)
+        B[:] = A + B
+)");
+  bool nested = false;
+  for (int sid : sdfg->state_ids())
+    for (int id : sdfg->state(sid).node_ids())
+      nested |= sdfg->state(sid).node(id)->kind == ir::NodeKind::NestedSDFG;
+  ASSERT_TRUE(nested);
+  rt::Executor ex(*sdfg);
+  for (int64_t n : {16, 9}) {
+    for (int64_t t : {3, 1}) {
+      Bindings args{{"A", random_tensor({n}, (unsigned)(n + t))},
+                    {"B", random_tensor({n}, (unsigned)(n * t))}};
+      run_against_fresh(ex, args, {{"N", n}, {"T", t}});
+    }
+  }
+}
+
+TEST_F(ExecutorPlan, NestedStatsCountEachVisitOnce) {
+  // The child executor's statistics accumulate over its runs; the parent
+  // must add each visit's share once, not the child's running total.
+  auto sdfg = compile_to_sdfg(R"(
+@dace.program
+def step(A: dace.float64[N, N], x: dace.float64[N], y: dace.float64[N]):
+    y[:] = A @ x
+    x[:] = y * 0.5
+
+@dace.program
+def f(A: dace.float64[N, N], x: dace.float64[N], y: dace.float64[N]):
+    for t in range(T):
+        step(A, x, y)
+)");
+  const int64_t n = 8;
+  auto flops = [&](rt::Executor& ex, int64_t t) {
+    Bindings args{{"A", random_tensor({n, n}, 1)},
+                  {"x", random_tensor({n}, 2)},
+                  {"y", Tensor(ir::DType::f64, {n})}};
+    auto before = ex.stats().flops;
+    ex.run(args, {{"N", n}, {"T", t}});
+    return ex.stats().flops - before;
+  };
+  rt::Executor one(*sdfg);
+  auto per_visit = flops(one, 1);
+  ASSERT_GT(per_visit, 0u);
+  rt::Executor ex(*sdfg);
+  EXPECT_EQ(flops(ex, 3), 3 * per_visit);
+  EXPECT_EQ(flops(ex, 2), 2 * per_visit);
+}
+
+TEST_F(ExecutorPlan, LoopSymbolFirstAssignedMidRun) {
+  // `t` is not an input: the loop's interstate edges define it, after
+  // the run has started, and the map reads it on every iteration.
+  auto sdfg = compile_to_sdfg(R"(
+@dace.program
+def f(A: dace.float64[N]):
+    for t in range(T):
+        for i in dace.map[0:N]:
+            A[i] = A[i] * 0.5 + t
+)");
+  rt::Executor ex(*sdfg);
+  for (int64_t t : {4, 2, 6}) {
+    Bindings args{{"A", random_tensor({32}, (unsigned)t)}};
+    run_against_fresh(ex, args, {{"N", 32}, {"T", t}});
+  }
+}
+
+TEST_F(ExecutorPlan, MissingSymbolOnSecondRun) {
+  auto sdfg = compile_to_sdfg(R"(
+@dace.program
+def f(A: dace.float64[N]):
+    A[:] = A + 1.0
+)");
+  rt::Executor ex(*sdfg);
+  Bindings args{{"A", random_tensor({8}, 1)}};
+  run_against_fresh(ex, args, {{"N", 8}});
+  auto message = [&](rt::Executor& e) {
+    try {
+      e.run(args, {});
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  rt::Executor fresh(*sdfg);
+  std::string want = message(fresh);
+  EXPECT_NE(want.find("executor: missing symbol 'N'"), std::string::npos)
+      << want;
+  EXPECT_EQ(message(ex), want);
+  // The executor stays usable once the symbol is bound again.
+  run_against_fresh(ex, args, {{"N", 8}});
+}
 
 }  // namespace
 }  // namespace dace
