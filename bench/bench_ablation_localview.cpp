@@ -37,9 +37,6 @@ int main() {
     double halfstep = node.compute_time((uint64_t)(5 * cells),
                                         (uint64_t)(16 * cells));
     double t_implicit = 2.0 * (double)(T - 1) * (2 * coll + halfstep);
-    std::string key = "localview.jacobi_2d.p" + std::to_string(p);
-    bench::JsonReport::global().record(key + ".implicit", t_implicit * 1e9);
-    bench::JsonReport::global().record(key + ".explicit", t_explicit * 1e9);
     printf("%5d | %14s | %14s | %6.2fx\n", p,
            bench::fmt_time(t_implicit).c_str(),
            bench::fmt_time(t_explicit).c_str(), t_implicit / t_explicit);

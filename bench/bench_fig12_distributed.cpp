@@ -128,10 +128,6 @@ int main() {
         t1_dask = t_dask;
         t1_leg = t_leg;
       }
-      std::string key = "fig12." + e.kernel + ".p" + std::to_string(p);
-      bench::JsonReport::global().record(key + ".dace", t_dace * 1e9);
-      bench::JsonReport::global().record(key + ".dask", t_dask * 1e9);
-      bench::JsonReport::global().record(key + ".legate", t_leg * 1e9);
       printf("%5d | %12s %5.1f%% | %12s %5.1f%% | %12s %5.1f%%\n", p,
              bench::fmt_time(t_dace).c_str(), 100 * t1_dace / t_dace,
              bench::fmt_time(t_dask).c_str(), 100 * t1_dask / t_dask,

@@ -53,8 +53,6 @@ int main() {
       }
       double total = (double)(obs::now_ns() - t0) / 1e9;
       (void)host_compile;
-      bench::JsonReport::global().record(
-          "fig6." + k.name + "." + ir::device_name(dev), total * 1e9);
       dist[ir::device_name(dev)].push_back({k.name, total});
     }
   }

@@ -33,10 +33,6 @@ int main() {
 
     double sp = cupy.kernel_time_s / dace_res.kernel_time_s;
     speedups.push_back(sp);
-    bench::JsonReport::global().record("fig8." + k.name + ".cupy",
-                                       cupy.kernel_time_s * 1e9);
-    bench::JsonReport::global().record("fig8." + k.name + ".dace",
-                                       dace_res.kernel_time_s * 1e9);
     printf("%-12s %12s %12s %9.2fx %9lld %9lld%s\n", k.name.c_str(),
            bench::fmt_time(cupy.kernel_time_s).c_str(),
            bench::fmt_time(dace_res.kernel_time_s).c_str(), sp,

@@ -28,10 +28,6 @@ int main() {
     rt::Bindings b2 = k.init(sizes);
     double t_xilinx =
         fpga::run_fpga(*sdfg, b2, sizes, fpga::FpgaModel::xilinx()).time_s;
-    bench::JsonReport::global().record("fig9." + k.name + ".intel",
-                                       t_intel * 1e9);
-    bench::JsonReport::global().record("fig9." + k.name + ".xilinx",
-                                       t_xilinx * 1e9);
     printf("%-12s %14s %14s %7.2fx%s\n", k.name.c_str(),
            bench::fmt_time(t_intel).c_str(),
            bench::fmt_time(t_xilinx).c_str(), t_xilinx / t_intel,

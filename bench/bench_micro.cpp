@@ -3,9 +3,6 @@
 // symbolic engine, and simMPI primitives.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-
-#include "bench_common.hpp"
 #include "distributed/simmpi.hpp"
 #include "frontend/lowering.hpp"
 #include "kernels/suite.hpp"
@@ -184,30 +181,4 @@ static void BM_SimMpiP2P(benchmark::State& state) {
 }
 BENCHMARK(BM_SimMpiP2P);
 
-namespace {
-
-/// Console output as usual, plus every per-iteration result captured
-/// into the shared JSON report ("micro.<name>", adjusted real ns) so
-/// bench_micro emits BENCH_5.json like the table benchmarks do.
-class JsonCapturingReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& reports) override {
-    for (const Run& r : reports) {
-      if (r.error_occurred || r.run_type != Run::RT_Iteration) continue;
-      bench::JsonReport::global().record("micro." + r.benchmark_name(),
-                                         r.GetAdjustedRealTime());
-    }
-    ConsoleReporter::ReportRuns(reports);
-  }
-};
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  JsonCapturingReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -1,6 +1,5 @@
 // bench_serve: request latency of the sdfg-serve daemon (src/serve/*).
-// Five medians land in the shared trajectory report (BENCH_10.json /
-// $BENCH_JSON; writes merge, so this coexists with bench_fig7's keys):
+// Five medians:
 //
 //   serve.ping          frame round-trip over the unix socket: protocol
 //                       + scheduling floor, no compile or execution
@@ -20,8 +19,8 @@
 // overhead from JIT cost (bench_cache covers the latter).
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +35,17 @@ using namespace dace::serve;
 namespace {
 
 int g_uniq = 0;
+
+// Set by the first failed check, with one stderr line naming it.  No
+// check exits the process: exit() would run static destructors under
+// the daemon's threads, so main() returns instead, after Server's
+// destructor has stopped them.
+std::atomic<bool> g_failed{false};
+
+void fail(const std::string& what) {
+  fprintf(stderr, "bench_serve: %s\n", what.c_str());
+  g_failed = true;
+}
 
 RunRequest make_request(bool uniq) {
   int tag = uniq ? ++g_uniq : 0;
@@ -65,11 +75,7 @@ void hammer(const std::string& sock, int n) {
       RunRequest r = req;
       r.id = "h" + std::to_string(t);
       Reply rep = cli.run(r);
-      if (!rep.ok) {
-        fprintf(stderr, "bench_serve: hammer job failed: %s\n",
-                rep.message.c_str());
-        exit(1);
-      }
+      if (!rep.ok) fail("hammer job failed: " + rep.message);
     });
   }
   for (auto& t : threads) t.join();
@@ -100,27 +106,25 @@ int main() {
   }
 
   auto ping = bench::time_median("serve.ping", [&] {
-    if (!cli.ping().ok) exit(1);
+    if (!cli.ping().ok) fail("ping failed");
   }, 20);
 
   auto cold = bench::time_median("serve.request_cold", [&] {
     Reply r = cli.run(make_request(/*uniq=*/true));
-    if (!r.ok) {
-      fprintf(stderr, "bench_serve: cold job failed: %s\n", r.message.c_str());
-      exit(1);
-    }
+    if (!r.ok) fail("cold job failed: " + r.message);
   }, 10);
 
   RunRequest warm_req = make_request(/*uniq=*/false);
   (void)cli.run(warm_req);  // prime
   auto warm = bench::time_median("serve.request_warm", [&] {
     Reply r = cli.run(warm_req);
-    if (!r.ok) exit(1);
+    if (!r.ok) fail("warm job failed: " + r.message);
   }, 10);
 
   auto h8 = bench::time_median("serve.hammer_8", [&] { hammer(sock, 8); }, 5);
   auto h32 =
       bench::time_median("serve.hammer_32", [&] { hammer(sock, 32); }, 5);
+  if (g_failed) return 1;
 
   printf("serve request latency (socket=%s)\n", sock.c_str());
   row("ping", ping);
@@ -140,7 +144,13 @@ int main() {
   }
   // Acceptance: a ping must be far cheaper than a compile-and-run, and
   // the deduped 32-way batch must not cost 32 cold requests.
-  if (ping.median_s >= cold.median_s) return 1;
-  if (h32.median_s >= 32 * cold.median_s) return 1;
+  if (ping.median_s >= cold.median_s) {
+    fprintf(stderr, "bench_serve: ping not cheaper than a cold request\n");
+    return 1;
+  }
+  if (h32.median_s >= 32 * cold.median_s) {
+    fprintf(stderr, "bench_serve: hammer 32 cost 32 cold requests or more\n");
+    return 1;
+  }
   return 0;
 }

@@ -190,18 +190,16 @@ CompiledMapNative compile_map_native(const rt::Program& prog,
   // annotations the vectorizer can act on -- compile them at -O3 with
   // the host ISA (the same level as hand-written reference kernels).
   // -ffp-contract=off forbids FMA contraction so native results stay
-  // bit-identical to the VM's separate multiply/add.  Plan-off keeps
-  // the original -O2 goto pipeline; Program::hash separates the cache
-  // entries, and a compiler that rejects the flags just pins the
-  // program to Tier 0 (failure is never fatal).
+  // bit-identical to the VM's separate multiply/add.  A compiler that
+  // rejects the flags just pins the program to Tier 0 (failure is never
+  // fatal).
   std::string dtype_list;
   for (size_t i = 0; i < dtypes.size(); ++i) {
     if (i) dtype_list += ',';
     dtype_list += ir::dtype_name(dtypes[i]);
   }
   detail::LoadedObject obj = detail::build_and_load(
-      src, fn_name, fn_name, compiler,
-      prog.kernel_plan ? "-O3 -march=native -ffp-contract=off" : "-O2",
+      src, fn_name, fn_name, compiler, "-O3 -march=native -ffp-contract=off",
       prog.hash(), dtype_list);
   out.compile_seconds_ = obj.compile_seconds;
   out.handle_ = obj.handle;

@@ -1,7 +1,6 @@
 #include "codegen/kernel_plan.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 namespace dace::cg {
@@ -409,11 +408,6 @@ std::string KernelPlan::describe() const {
   }
   os << " jam=" << jam << " unroll=" << unroll << " sink=" << sinks;
   return os.str();
-}
-
-bool kernel_plan_enabled() {
-  const char* env = std::getenv("DACE_KERNEL_PLAN");
-  return !(env && env[0] == '0' && env[1] == '\0');
 }
 
 KernelPlan plan_kernel(const rt::Program& prog) {

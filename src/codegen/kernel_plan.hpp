@@ -26,9 +26,8 @@
 //   - innermost unrolling by the vector width with a scalar epilogue for
 //     non-divisible trip counts.
 //
-// The plan is a pure function of the Program, so it is keyed into
-// Program::hash via the `kernel_plan` flag (DACE_KERNEL_PLAN=0 restores
-// the scalar goto pipeline and distinct native-cache entries).
+// The plan is a pure function of the Program, so Program::hash keys
+// its native-cache entries.
 #pragma once
 
 #include <cstddef>
@@ -84,9 +83,6 @@ struct KernelPlan {
   /// Compact human-readable summary, e.g. "loops=3 jam=4 unroll=4 sink=1".
   std::string describe() const;
 };
-
-/// DACE_KERNEL_PLAN gate: unset or any value but "0" enables planning.
-bool kernel_plan_enabled();
 
 /// Reconstruct the loop nest of a map-scope program and plan its Tier-1
 /// emission.  Returns an invalid plan (valid == false) when the control

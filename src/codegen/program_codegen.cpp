@@ -3,7 +3,7 @@
 //
 // Two emission strategies share one per-instruction translator:
 //
-//  - Plan-driven (default, DACE_KERNEL_PLAN=1): cg::plan_kernel
+//  - Plan-driven: cg::plan_kernel
 //    reconstructs the canonical loop nest and the emitter prints
 //    structured `for` loops, sinks invariant-address WCR stores into
 //    register accumulators, unroll-and-jams the accumulator-carrying
@@ -11,7 +11,7 @@
 //    by the vector width with a scalar epilogue.  The host compiler sees
 //    countable loops over __restrict__ arrays and auto-vectorizes.
 //
-//  - Goto fallback (plan invalid or DACE_KERNEL_PLAN=0): one statement
+//  - Goto fallback (plan invalid, e.g. irreducible flow): one statement
 //    per instruction, labels on jump targets, gotos for Jmp/JGe -- the
 //    original deliberately-direct translation.
 //
@@ -553,16 +553,14 @@ std::string generate_map_source(const rt::Program& prog,
   }
 
   // Plan-driven structured emission; the goto translation below stays
-  // the fallback for irreducible shapes and DACE_KERNEL_PLAN=0.
-  if (prog.kernel_plan) {
-    KernelPlan plan = plan_kernel(prog);
-    if (plan.valid) {
-      PlanEmitter em(prog, dtypes, plan, os);
-      em.emit_lane_decls();
-      em.emit();
-      os << "  return;\n}\n";
-      return os.str();
-    }
+  // the fallback for irreducible shapes.
+  KernelPlan plan = plan_kernel(prog);
+  if (plan.valid) {
+    PlanEmitter em(prog, dtypes, plan, os);
+    em.emit_lane_decls();
+    em.emit();
+    os << "  return;\n}\n";
+    return os.str();
   }
 
   // Structured innermost loops: when interval analysis proved the

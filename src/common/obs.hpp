@@ -3,9 +3,7 @@
 //
 // Events are collected into per-thread ring buffers: a thread only ever
 // locks its own buffer, so tracing never serializes the traced code.  The
-// *disabled* path -- the common case -- is a single relaxed atomic load,
-// and the macro API below can be compiled out entirely with
-// -DDACEPP_OBS_OFF (CMake: -DDACE_OBS=OFF).
+// *disabled* path -- the common case -- is a single relaxed atomic load.
 //
 // Three event shapes, matching the Chrome trace-event / Perfetto JSON
 // format the exporter emits (load the file at ui.perfetto.dev or
@@ -122,9 +120,7 @@ bool rank_traced(int rank);
 }  // namespace dace::obs
 
 // -- macro API ---------------------------------------------------------------
-// OBS_SPAN places an RAII span covering the rest of the scope.  All macros
-// compile to ((void)0) under DACEPP_OBS_OFF.
-#ifndef DACEPP_OBS_OFF
+// OBS_SPAN places an RAII span covering the rest of the scope.
 #define DACE_OBS_CONCAT_(a, b) a##b
 #define DACE_OBS_CONCAT(a, b) DACE_OBS_CONCAT_(a, b)
 #define OBS_SPAN(cat, ...) \
@@ -138,8 +134,3 @@ bool rank_traced(int rank);
   do {                                                           \
     if (::dace::obs::enabled()) ::dace::obs::instant(cat, __VA_ARGS__); \
   } while (0)
-#else
-#define OBS_SPAN(cat, ...) ((void)0)
-#define OBS_COUNTER(cat, name, val) ((void)0)
-#define OBS_INSTANT(cat, ...) ((void)0)
-#endif

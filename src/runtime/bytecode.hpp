@@ -93,11 +93,6 @@ struct Program {
   // vectorizable loop.
   bool use_restrict = false;
   bool vec_innermost = false;
-  // Kernel planning (cg::plan_kernel) is applied to this program's Tier-1
-  // emission: structured loops, WCR register sinking, unroll-and-jam.
-  // Mirrors DACE_KERNEL_PLAN at compile time and keys the native cache so
-  // plan-on and plan-off builds coexist.
-  bool kernel_plan = false;
 
   int array_slot(const std::string& name) {
     for (size_t i = 0; i < arrays.size(); ++i) {

@@ -335,30 +335,14 @@ void Executor::execute_tasklet(const ir::State& st, int node) {
 
 namespace {
 
-int64_t env_ns(const char* name, int64_t dflt) {
-  if (const char* v = std::getenv(name)) {
-    long long x = std::atoll(v);
-    if (x > 0) return x;
-  }
-  return dflt;
-}
-
-// Chunk-grain knobs: a chunk should carry about CHUNK_TARGET_NS of work,
-// and a map cheaper than CHUNK_MIN_NS in total is not worth a dispatch.
-int64_t chunk_target_ns() {
-  static int64_t v = env_ns("DACE_CHUNK_TARGET_NS", 100000);
-  return v;
-}
-int64_t chunk_min_ns() {
-  static int64_t v = env_ns("DACE_CHUNK_MIN_NS", 20000);
-  return v;
-}
+// Chunk grain: a chunk should carry about kChunkTargetNs of work, and a
+// map cheaper than kChunkMinNs in total is not worth a dispatch.
+constexpr double kChunkTargetNs = 100000;
+constexpr double kChunkMinNs = 20000;
 
 }  // namespace
 
 int Executor::plan_chunks(const TieredProgram& tp, int tier, int64_t iters) {
-  if (!tp.prog.kernel_plan)  // legacy static split
-    return ThreadPool::global().num_threads();
   double nspi = tp.ns_per_iter[tier];
   if (nspi <= 0.0) {
     // Pre-measurement heuristic: cost scales with bytecode length;
@@ -369,9 +353,8 @@ int Executor::plan_chunks(const TieredProgram& tp, int tier, int64_t iters) {
 }
 
 int Executor::work_chunks(double total_ns, int64_t iters, int min_chunks) {
-  if (total_ns < (double)chunk_min_ns()) return 1;
-  double per_chunk = (double)chunk_target_ns();
-  int chunks = (int)((total_ns + per_chunk - 1.0) / per_chunk);
+  if (total_ns < kChunkMinNs) return 1;
+  int chunks = (int)((total_ns + kChunkTargetNs - 1.0) / kChunkTargetNs);
   chunks = std::max(chunks, min_chunks);
   chunks = (int)std::min<int64_t>(chunks, iters);
   return std::min(chunks, ThreadPool::global().num_threads());
@@ -540,8 +523,7 @@ void Executor::execute_map(const ir::State& st, Step& entry, int* tier_used,
       }
       if (!tp.plan_reported && obs::enabled()) {
         tp.plan_reported = true;
-        cg::KernelPlan plan;
-        if (prog.kernel_plan) plan = cg::plan_kernel(prog);
+        cg::KernelPlan plan = cg::plan_kernel(prog);
         int jam = 1, unroll = 1;
         size_t sinks = 0;
         for (const auto& l : plan.loops) {

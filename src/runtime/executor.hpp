@@ -109,9 +109,9 @@ class Executor {
 
   /// Chunk count for `total_ns` of estimated work over `iters`
   /// independent iterations: 1 (run inline, the pool stays asleep) when
-  /// cheaper than DACE_CHUNK_MIN_NS, else about DACE_CHUNK_TARGET_NS of
-  /// work per chunk but at least `min_chunks`, capped by `iters` and the
-  /// pool size.  Shared by the map scheduler and the library handlers.
+  /// cheaper than 20 us, else about 100 us of work per chunk but at
+  /// least `min_chunks`, capped by `iters` and the pool size.  Shared by
+  /// the map scheduler and the library handlers.
   static int work_chunks(double total_ns, int64_t iters, int min_chunks = 1);
 
   VMStats& stats() { return stats_; }
@@ -193,10 +193,8 @@ class Executor {
   void execute_nested(const ir::State& st, Step& step);
 
   /// Cost-driven chunk count for a parallel dispatch at `tier`: sized so
-  /// each chunk runs ~DACE_CHUNK_TARGET_NS of measured (or estimated)
-  /// work, 1 when the whole map is cheaper than DACE_CHUNK_MIN_NS (the
-  /// pool is then skipped entirely).  Plan-off programs keep the
-  /// historical one-chunk-per-worker split.
+  /// each chunk runs ~100 us of measured (or estimated) work, 1 when the
+  /// whole map is cheaper than 20 us (the pool is then skipped entirely).
   static int plan_chunks(const TieredProgram& tp, int tier, int64_t iters);
   /// Fold a measured launch into the per-iteration cost EMA.
   static void update_cost(TieredProgram& tp, int tier, int64_t iters,

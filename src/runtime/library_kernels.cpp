@@ -56,9 +56,10 @@ const std::string kSum = "sum";
 // Estimated cost of one multiply-add of the matrix-vector kernels below
 // (single core, operands streaming from L2/L3).  A product runs inline
 // while its multiply-add count times this is under the map scheduler's
-// DACE_CHUNK_MIN_NS cut (20 us: 40k multiply-adds), where waking the
-// workers costs more than it saves; above it, it takes at least two
-// chunks.  docs/RUNTIME.md records the measured crossover.
+// minimum-work cut (kChunkMinNs in executor.cpp, 20 us: 40k
+// multiply-adds), where waking the workers costs more than it saves;
+// above it, it takes at least two chunks.  docs/RUNTIME.md records the
+// measured crossover.
 constexpr double kMaddNs = 0.5;
 
 // Views up to this rank take the stride-loop reductions.

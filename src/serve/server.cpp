@@ -261,7 +261,12 @@ void Server::stop() {
 
 bool Server::drain() {
   if (!running_.load()) return true;
-  draining_.store(true);
+  {
+    // Under mu_, so admission (which re-checks it there) either sees it
+    // or has already counted its job before the wait below.
+    std::lock_guard<std::mutex> lk(mu_);
+    draining_.store(true);
+  }
   // Stop accepting new connections; existing readers keep answering
   // (Run gets E610 from here on).
   close_listener();
@@ -425,10 +430,16 @@ bool Server::handle_frame(const std::shared_ptr<Conn>& conn, const Frame& f) {
 
   std::string shed_why;
   size_t depth = 0;
+  bool refused = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = inflight_.find(job->key);
-    if (it != inflight_.end()) {
+    if (draining_.load()) {
+      // drain() began after the check above: refuse rather than queue
+      // a job its wait no longer covers.
+      ++stats_.drained;
+      refused = true;
+    } else if (it != inflight_.end()) {
       // In-flight dedup: attach to the winner; one compile serves all.
       ++stats_.deduped;
       METRIC_INC("dacepp_serve_deduped_total");
@@ -436,8 +447,7 @@ bool Server::handle_frame(const std::shared_ptr<Conn>& conn, const Frame& f) {
       OBS_INSTANT("serve", "dedup",
                   "{\"key\":\"" + hex16(job->key) + "\"}");
       return true;
-    }
-    if (!queue_.push(job, conn->id, job->req.weight)) {
+    } else if (!queue_.push(job, conn->id, job->req.weight)) {
       ++stats_.shed;
       METRIC_INC("dacepp_serve_shed_total");
       shed_why = "queue full (" + std::to_string(cfg_.queue_max) + " jobs)";
@@ -449,6 +459,11 @@ bool Server::handle_frame(const std::shared_ptr<Conn>& conn, const Frame& f) {
       inflight_[job->key] = inf;
       depth = queue_.size();
     }
+  }
+  if (refused) {
+    reply_error(conn, job->req.id, "E610",
+                "daemon is draining; retry elsewhere");
+    return true;
   }
   if (!shed_why.empty()) {
     // Shed *now*, from the reader thread: an overloaded daemon answers
@@ -494,12 +509,14 @@ void Server::worker_loop() {
     run_job(job);
     job->running.store(false);
 
+    // The job leaves active_ only after its replies are written: drain()
+    // stops the daemon, shutting every connection, once nothing is left.
+    finish_job(job);
     {
       std::lock_guard<std::mutex> lk(mu_);
       active_.erase(std::remove(active_.begin(), active_.end(), job),
                     active_.end());
     }
-    finish_job(job);
   }
 }
 

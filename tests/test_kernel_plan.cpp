@@ -1,11 +1,12 @@
 // Kernel-planner tests: loop-nest reconstruction from optimized bytecode,
-// WCR sinking and unroll-and-jam legality, the DACE_KERNEL_PLAN escape
-// hatch and its Program::hash keying, tiling edge cases (non-divisible
-// trip counts, zero/one-trip loops, epilogue correctness), and the
-// cost-driven chunked ThreadPool::parallel_for.
+// WCR sinking and unroll-and-jam legality, the goto fallback for flow
+// the planner rejects (run natively against the VM), tiling edge cases
+// (non-divisible trip counts, zero/one-trip loops, epilogue
+// correctness), and the cost-driven chunked ThreadPool::parallel_for.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <mutex>
 #include <string>
@@ -85,7 +86,6 @@ Program compile_first_map(const std::string& source) {
 
 TEST(KernelPlan, MatmulNestGetsJamAndSink) {
   Program p = compile_first_map(kMatmulSource);
-  ASSERT_TRUE(p.kernel_plan);
   cg::KernelPlan plan = cg::plan_kernel(p);
   ASSERT_TRUE(plan.valid);
   ASSERT_EQ(plan.loops.size(), 3u);
@@ -105,7 +105,6 @@ TEST(KernelPlan, MatmulNestGetsJamAndSink) {
 
 TEST(KernelPlan, MatmulSourceIsStructuredWithAccumulators) {
   Program p = compile_first_map(kMatmulSource);
-  ASSERT_TRUE(p.kernel_plan);
   std::vector<ir::DType> dts(p.arrays.size(), ir::DType::f64);
   std::string src = cg::generate_map_source(p, dts, "kern");
   EXPECT_EQ(src.find("goto"), std::string::npos);
@@ -116,30 +115,12 @@ TEST(KernelPlan, MatmulSourceIsStructuredWithAccumulators) {
   EXPECT_NE(src.find("dacepp_wcr_atomic(A2 + "), std::string::npos);
 }
 
-TEST(KernelPlan, PlanOffRestoresGotoPipeline) {
-  EnvGuard off("DACE_KERNEL_PLAN", "0");
-  Program p = compile_first_map(kMatmulSource);
-  EXPECT_FALSE(p.kernel_plan);
-  std::vector<ir::DType> dts(p.arrays.size(), ir::DType::f64);
-  std::string src = cg::generate_map_source(p, dts, "kern");
-  EXPECT_NE(src.find("goto"), std::string::npos);
-  EXPECT_EQ(src.find("acc"), std::string::npos);
-}
-
-TEST(KernelPlan, HashIsKeyedOnPlanFlag) {
-  Program p = compile_first_map(kMatmulSource);
-  Program q = p;
-  q.kernel_plan = !p.kernel_plan;
-  EXPECT_NE(p.hash(), q.hash());
-}
-
 // A splittable WCR loop whose store address is the loop variable: the
 // address is not invariant, so no sink and no jam -- and the structured
 // emission must still be exact.
 Program varying_addr_wcr_program() {
   Program p;
   p.splittable = true;
-  p.kernel_plan = true;
   p.n_iregs = 5;  // i0/i1 bounds, i2 var, i3 zero, i4 step
   p.n_fregs = 1;
   p.arrays = {"A", "B"};
@@ -185,14 +166,58 @@ TEST(KernelPlan, GuardedLoopExcludedFromSinking) {
   EXPECT_TRUE(plan.loops[0].sinks.empty());
 }
 
+// Control flow the planner rejects takes the goto emitter, which no
+// other test runs natively (no sdfg_fuzz_plan_1 seed reaches it): a
+// forward jump in place of the latch, and a loop with two back edges to
+// one header (below index 4 the body skips every other element).  Each
+// must emit gotos and match the Tier-0 VM bit for bit over two chunks of
+// a 37-element domain.
 TEST(KernelPlan, IrreducibleFlowFallsBackToGotos) {
-  Program p = varying_addr_wcr_program();
-  p.code[7].imm = 8;  // forward jump: no longer a canonical latch
-  cg::KernelPlan plan = cg::plan_kernel(p);
-  EXPECT_FALSE(plan.valid);
-  std::vector<ir::DType> dts(p.arrays.size(), ir::DType::f64);
-  std::string src = cg::generate_map_source(p, dts, "kern");
-  EXPECT_NE(src.find("goto"), std::string::npos);
+  Program forward = varying_addr_wcr_program();
+  forward.code[7].imm = 8;  // forward jump: no longer a canonical latch
+  Program two_latch = forward;
+  two_latch.n_iregs = 6;  // i0/i1 bounds, i2 var, i4 step, i5 skip limit
+  two_latch.code = {
+      Instr{.op = Op::IConst, .a = 4, .imm = 1},
+      Instr{.op = Op::IConst, .a = 5, .imm = 4},
+      Instr{.op = Op::IMov, .a = 2, .b = 0},
+      Instr{.op = Op::JGe, .a = 2, .b = 1, .imm = 10},
+      Instr{.op = Op::Load, .a = 0, .b = 2, .imm = 0},
+      Instr{.op = Op::StoreWcr, .a = 0, .b = 2, .c = 1, .flag = 1, .imm = 1},
+      Instr{.op = Op::IAdd, .a = 2, .b = 2, .c = 4},
+      Instr{.op = Op::JGe, .a = 2, .b = 5, .imm = 3},
+      Instr{.op = Op::IAdd, .a = 2, .b = 2, .c = 4},
+      Instr{.op = Op::Jmp, .imm = 3},
+      Instr{.op = Op::Halt},
+  };
+  const int64_t n = 37;
+  const std::pair<int64_t, int64_t> chunks[] = {{0, 10}, {10, n}};
+  for (const auto& [name, p] : {std::pair{"kern_forward", forward},
+                                std::pair{"kern_two_latch", two_latch}}) {
+    SCOPED_TRACE(name);
+    EXPECT_FALSE(cg::plan_kernel(p).valid);
+    std::vector<ir::DType> dts(p.arrays.size(), ir::DType::f64);
+    EXPECT_NE(cg::generate_map_source(p, dts, name).find("goto"),
+              std::string::npos);
+
+    std::vector<double> a(n), vm(n, 0.0), native(n, 0.0);
+    for (int64_t i = 0; i < n; ++i) a[i] = 0.1 * (double)(i % 7) - 0.35;
+    std::vector<rt::ArrayRef> refs{{a.data(), ir::DType::f64},
+                                   {vm.data(), ir::DType::f64}};
+    for (auto [lo, hi] : chunks) rt::vm_run(p, refs, {}, lo, hi, nullptr);
+    cg::CompiledMapNative fn = cg::compile_map_native(p, dts, name);
+    ASSERT_TRUE(fn.valid()) << "no native build";
+    double* arrays[] = {a.data(), native.data()};
+    for (auto [lo, hi] : chunks) {
+      int64_t err = 0;
+      fn.fn()(arrays, nullptr, lo, hi, &err);
+      EXPECT_EQ(err, 0);
+    }
+    for (int64_t i = 0; i < n; ++i)
+      EXPECT_EQ(std::bit_cast<uint64_t>(native[i]),
+                std::bit_cast<uint64_t>(vm[i]))
+          << "B[" << i << "] native " << native[i] << " vm " << vm[i];
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -639,20 +639,26 @@ TEST(Serve, DrainFinishesInFlightWorkAndExitsClean) {
   std::string why;
   ASSERT_TRUE(srv.start(&why)) << why;
 
-  // Put a moderately slow job in flight, then drain concurrently.
-  std::string out;
+  // Put a moderately slow job in flight, wait (bounded) until the daemon
+  // has admitted it, then drain concurrently.
+  Reply r;
   std::thread job([&] {
     Client cli = make_client(sock, 0);
     RunRequest req;
     req.source = axpy_src("draining", "2.5");
     req.symbols["N"] = 2000000;
-    Reply r = cli.run(req);
-    if (r.ok) out = extract_outputs(r.payload);
+    r = cli.run(req);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (srv.stats().accepted < 1 &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_GE(srv.stats().accepted, 1u) << "job not admitted within 10 s";
   EXPECT_TRUE(srv.drain()) << "drain must not orphan the in-flight job";
   job.join();
-  EXPECT_FALSE(out.empty()) << "the in-flight job must finish during drain";
+  EXPECT_TRUE(r.ok && !extract_outputs(r.payload).empty())
+      << "the in-flight job must finish during drain: " << r.code << " "
+      << r.message;
 
   // After drain: socket gone, new daemon starts cleanly on the path.
   EXPECT_NE(access(sock.c_str(), F_OK), 0);
