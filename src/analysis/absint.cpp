@@ -564,6 +564,49 @@ std::vector<const ir::MapEntry*> scope_chain(const ir::State& st, int scope) {
   return {chain.rbegin(), chain.rend()};
 }
 
+/// Widen `s` over var in [lo, hi] (inclusive): monotonicity decided by
+/// the sign of the affine coefficient under `env`; nullopt when a bound
+/// is not affine or not provably monotone.  The result is a unit-step
+/// hull, a sound over-approximation of the union over all var values.
+std::optional<Subset> widen_subset(const Subset& s, const std::string& var,
+                                   const Expr& lo, const Expr& hi,
+                                   const Env& env) {
+  std::vector<Range> rs;
+  for (size_t d = 0; d < s.dims(); ++d) {
+    const Range& r = s.range(d);
+    if (r.step.free_symbols().count(var)) return std::nullopt;
+    bool bhas = r.begin.free_symbols().count(var) > 0;
+    bool ehas = r.end.free_symbols().count(var) > 0;
+    if (!bhas && !ehas) {
+      rs.push_back(r);
+      continue;
+    }
+    auto coef_of = [&](const Expr& e) -> std::optional<Expr> {
+      auto shifted = try_subs(e, {{var, Expr::symbol(var) + Expr(1)}});
+      if (!shifted) return std::nullopt;
+      Expr c = *shifted - e;
+      if (c.free_symbols().count(var)) return std::nullopt;  // not affine
+      return c;
+    };
+    auto cb = coef_of(r.begin);
+    auto ce = coef_of(r.end);
+    if (!cb || !ce) return std::nullopt;
+    sym::SubstMap L{{var, lo}}, H{{var, hi}};
+    auto bl = try_subs(r.begin, L), bh = try_subs(r.begin, H);
+    auto el = try_subs(r.end, L), eh = try_subs(r.end, H);
+    if (!bl || !bh || !el || !eh) return std::nullopt;
+    if (proves_nonneg(*cb, env) && proves_nonneg(*ce, env)) {
+      rs.emplace_back(*bl, *eh);
+    } else if (proves_nonneg(Expr(0) - *cb, env) &&
+               proves_nonneg(Expr(0) - *ce, env)) {
+      rs.emplace_back(*bh, *el);
+    } else {
+      return std::nullopt;
+    }
+  }
+  return Subset(std::move(rs));
+}
+
 }  // namespace
 
 Env edge_env(const ir::State& st, const ir::Edge& e, const Env& state_env) {
@@ -638,6 +681,54 @@ bool edge_inside(const ir::State& st, const ir::Edge& e, int entry) {
   return false;
 }
 
+/// Footprint of `e`'s memlet for one value of the split parameter
+/// `top.params[0]`: the subset widened over every other parameter in
+/// scope, innermost first.  nullopt when `top` is not the outermost
+/// scope of `e` or a bound is not provably monotone.
+std::optional<Subset> split_footprint(const ir::State& st,
+                                      const ir::MapEntry& top,
+                                      const ir::Edge& e, const Env& env) {
+  std::vector<const ir::MapEntry*> chain = scope_chain(st, edge_scope(st, e));
+  if (chain.empty() || chain.front() != &top) return std::nullopt;
+  Subset s = e.memlet.subset;
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    const ir::MapEntry* me = *it;
+    if (!me) return std::nullopt;
+    size_t first = me == &top ? 1 : 0;
+    for (size_t i = me->params.size(); i-- > first;) {
+      if (i >= me->range.dims()) return std::nullopt;
+      const Range& r = me->range.range(i);
+      auto w = widen_subset(s, me->params[i], r.begin, last_index(r), env);
+      if (!w) return std::nullopt;
+      s = std::move(*w);
+    }
+  }
+  return s;
+}
+
+/// Do two distinct values of the split parameter reach disjoint parts of
+/// split footprints `a` and `b`?  The proof is a(p0) vs b(p0 + d*step)
+/// for every d >= 1.  p0 is rewritten as begin + (q-1)*step with a
+/// fresh q >= 1, so every symbol the provers see obeys their ">= 1"
+/// convention even when p0 starts at 0.
+bool split_disjoint(const ir::MapEntry& top, const Subset& a, const Subset& b,
+                    const Env& state_env) {
+  const Range& r0 = top.range.range(0);
+  Expr q = Expr::symbol("__split_q"), d = Expr::symbol("__split_d");
+  auto at = [&](const Subset& s, const Expr& k) {
+    return s.subs({{top.params[0], r0.begin + (k - Expr(1)) * r0.step}});
+  };
+  Env env = state_env;
+  env["__split_q"] = Interval::at_least(Expr(1));
+  env["__split_d"] = Interval::at_least(Expr(1));
+  try {
+    auto dj = proves_disjoint(at(a, q), at(b, q + d), env);
+    return dj && *dj;
+  } catch (const dace::Error&) {
+    return false;  // substitution folded a division by zero
+  }
+}
+
 }  // namespace
 
 MapFacts analyze_map(const ir::SDFG& sdfg, const ir::State& st, int entry,
@@ -707,6 +798,35 @@ MapFacts analyze_map(const ir::SDFG& sdfg, const ir::State& st, int entry,
     }
   }
   f.all_in_range = all_ok;
+
+  // WCR stores, grouped by container, for the split-ownership proof.
+  std::map<std::string, std::vector<size_t>> wcr_stores;
+  for (size_t ei = 0; ei < st.edges().size(); ++ei) {
+    const ir::Edge& e = st.edges()[ei];
+    if (e.memlet.empty() || e.memlet.wcr == ir::WCR::None) continue;
+    if (!edge_inside(st, e, entry) || !st.alive(e.src)) continue;
+    ir::NodeKind k = st.node(e.src)->kind;
+    if (k == ir::NodeKind::Tasklet || k == ir::NodeKind::Library)
+      wcr_stores[e.memlet.data].push_back(ei);
+  }
+  for (const auto& [name, eis] : wcr_stores) {
+    // Every store must be in range (a flattened address then cannot
+    // reach another row), and no pair of stores may meet across values
+    // of params[0]; otherwise all of the container's stores stay atomic.
+    std::vector<Subset> feet;
+    for (size_t ei : eis) {
+      if (!f.inrange_edges.count(ei) || sdfg.array(name).rank() == 0) break;
+      const ir::Edge& e = st.edges()[ei];
+      auto w = split_footprint(st, *me, e, edge_env(st, e, state_env));
+      if (!w) break;
+      feet.push_back(std::move(*w));
+    }
+    bool owned = feet.size() == eis.size();
+    for (size_t a = 0; a < feet.size() && owned; ++a)
+      for (size_t b = 0; b < feet.size() && owned; ++b)
+        owned = split_disjoint(*me, feet[a], feet[b], state_env);
+    if (owned) f.split_private_wcr.insert(eis.begin(), eis.end());
+  }
   if (nested_maps) return f;  // only innermost scopes get loop facts
   f.innermost_contiguous = contiguous && !stores.empty();
 
@@ -743,49 +863,6 @@ namespace {
 /// Transients the element liveness tracks (mirrors defuse.cpp).
 bool tracked(const ir::DataDesc& d) {
   return d.transient && !d.is_stream && d.lifetime == ir::Lifetime::Scope;
-}
-
-/// Widen `s` over var in [lo, hi] (inclusive): monotonicity decided by
-/// the sign of the affine coefficient under `env`; nullopt when a bound
-/// is not affine or not provably monotone.  The result is a unit-step
-/// hull, a sound over-approximation of the union over all var values.
-std::optional<Subset> widen_subset(const Subset& s, const std::string& var,
-                                   const Expr& lo, const Expr& hi,
-                                   const Env& env) {
-  std::vector<Range> rs;
-  for (size_t d = 0; d < s.dims(); ++d) {
-    const Range& r = s.range(d);
-    if (r.step.free_symbols().count(var)) return std::nullopt;
-    bool bhas = r.begin.free_symbols().count(var) > 0;
-    bool ehas = r.end.free_symbols().count(var) > 0;
-    if (!bhas && !ehas) {
-      rs.push_back(r);
-      continue;
-    }
-    auto coef_of = [&](const Expr& e) -> std::optional<Expr> {
-      auto shifted = try_subs(e, {{var, Expr::symbol(var) + Expr(1)}});
-      if (!shifted) return std::nullopt;
-      Expr c = *shifted - e;
-      if (c.free_symbols().count(var)) return std::nullopt;  // not affine
-      return c;
-    };
-    auto cb = coef_of(r.begin);
-    auto ce = coef_of(r.end);
-    if (!cb || !ce) return std::nullopt;
-    sym::SubstMap L{{var, lo}}, H{{var, hi}};
-    auto bl = try_subs(r.begin, L), bh = try_subs(r.begin, H);
-    auto el = try_subs(r.end, L), eh = try_subs(r.end, H);
-    if (!bl || !bh || !el || !eh) return std::nullopt;
-    if (proves_nonneg(*cb, env) && proves_nonneg(*ce, env)) {
-      rs.emplace_back(*bl, *eh);
-    } else if (proves_nonneg(Expr(0) - *cb, env) &&
-               proves_nonneg(Expr(0) - *ce, env)) {
-      rs.emplace_back(*bh, *el);
-    } else {
-      return std::nullopt;
-    }
-  }
-  return Subset(std::move(rs));
 }
 
 /// One access (read or write) of a container, reduced to state level:

@@ -190,6 +190,13 @@ struct MapFacts {
   /// and every container that is both read and written in the scope is
   /// accessed at identical addresses (no loop-carried flow dependence).
   bool vectorizable = false;
+  /// WCR store edges (tasklet -> exit/access) that no two values of the
+  /// map's first parameter can reach in common, at any scope depth: the
+  /// lo/hi chunks that split that parameter each own these targets, so
+  /// the store needs no atomic.  Requires every WCR store of the same
+  /// container to be proven in range and pairwise disjoint across
+  /// values of the parameter.
+  std::set<size_t> split_private_wcr;
 };
 
 /// Analyze one map scope under the given state-entry environment.

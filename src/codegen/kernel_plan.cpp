@@ -396,8 +396,11 @@ class Planner {
 }  // namespace
 
 std::string KernelPlan::describe() const {
-  if (!valid) return "goto-fallback";
   std::ostringstream os;
+  if (!valid) {
+    os << "goto-fallback atomic=" << atomic_stores;
+    return os.str();
+  }
   os << "loops=" << loops.size();
   int jam = 1, unroll = 1;
   size_t sinks = 0;
@@ -406,12 +409,16 @@ std::string KernelPlan::describe() const {
     unroll = std::max(unroll, l.unroll);
     sinks += l.sinks.size();
   }
-  os << " jam=" << jam << " unroll=" << unroll << " sink=" << sinks;
+  os << " jam=" << jam << " unroll=" << unroll << " sink=" << sinks
+     << " atomic=" << atomic_stores;
   return os.str();
 }
 
 KernelPlan plan_kernel(const rt::Program& prog) {
-  return Planner(prog).run();
+  KernelPlan plan = Planner(prog).run();
+  for (const rt::Instr& in : prog.code)
+    plan.atomic_stores += in.op == rt::Op::StoreWcr && in.flag;
+  return plan;
 }
 
 }  // namespace dace::cg

@@ -65,6 +65,7 @@ struct PlanLoop {
 struct KernelPlan {
   bool valid = false;           // nest reconstructed; structured emission ok
   std::vector<PlanLoop> loops;  // sorted by header pc
+  int atomic_stores = 0;        // StoreWcr ops that combine atomically
 
   /// Index of the loop whose header is at `pc`, or -1.
   int loop_at(size_t pc) const {
@@ -80,7 +81,8 @@ struct KernelPlan {
     return false;
   }
 
-  /// Compact human-readable summary, e.g. "loops=3 jam=4 unroll=4 sink=1".
+  /// Compact human-readable summary, e.g. "loops=3 jam=4 unroll=4 sink=1
+  /// atomic=0" or "goto-fallback atomic=1".
   std::string describe() const;
 };
 

@@ -535,8 +535,8 @@ void Executor::execute_map(const ir::State& st, Step& entry, int* tier_used,
         a << "{\"map\":\"" << diag::json_escape(me->name) << "\",\"plan\":\""
           << plan.describe() << "\",\"jam\":" << jam
           << ",\"unroll\":" << unroll << ",\"sinks\":" << sinks
-          << ",\"chunks\":" << chunks << ",\"ns_per_iter\":"
-          << tp.ns_per_iter[1] << "}";
+          << ",\"atomic\":" << plan.atomic_stores << ",\"chunks\":"
+          << chunks << ",\"ns_per_iter\":" << tp.ns_per_iter[1] << "}";
         obs::instant("tier", "kernel-plan", a.str());
       }
       if (int64_t e = guard_err.load(std::memory_order_relaxed)) {

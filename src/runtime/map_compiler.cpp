@@ -97,8 +97,20 @@ class MapCompiler {
   bool needs_guard(const ir::Edge* e) const {
     if (absint_mode_ == absint::Mode::Off) return false;
     if (absint_mode_ == absint::Mode::All) return true;
-    size_t ei = static_cast<size_t>(e - st_.edges().data());
-    return facts_.inrange_edges.count(ei) == 0;
+    return facts_.inrange_edges.count(edge_index(e)) == 0;
+  }
+
+  /// Whether a WCR store through `e` may race with another chunk: always
+  /// when absint is Off or All, otherwise unless the analysis proved that
+  /// no two values of the split parameter reach a common target element.
+  bool atomic_wcr(const ir::Edge* e) const {
+    if (!prog_.splittable) return false;
+    if (absint_mode_ != absint::Mode::On) return true;
+    return facts_.split_private_wcr.count(edge_index(e)) == 0;
+  }
+
+  size_t edge_index(const ir::Edge* e) const {
+    return static_cast<size_t>(e - st_.edges().data());
   }
 
   /// Emit a Guard trapping unless the flat offset lies in [0, numel).
@@ -290,7 +302,6 @@ class MapCompiler {
   void emit_scope(int entry, bool outermost) {
     const auto* me = st_.node_as<const ir::MapEntry>(entry);
     int exit = me->exit_node;
-    bool atomic = prog_.splittable && outermost;
 
     // Loop headers.
     struct LoopInfo {
@@ -325,7 +336,7 @@ class MapCompiler {
       const ir::Node* n = st_.node(id);
       switch (n->kind) {
         case ir::NodeKind::Tasklet:
-          emit_tasklet(entry, exit, id, atomic);
+          emit_tasklet(entry, exit, id);
           break;
         case ir::NodeKind::MapEntry:
           emit_scope(id, /*outermost=*/false);
@@ -376,7 +387,7 @@ class MapCompiler {
     emit(op, (uint16_t)reg, (uint16_t)reg, (uint16_t)val);
   }
 
-  void emit_tasklet(int entry, int exit, int id, bool atomic) {
+  void emit_tasklet(int entry, int exit, int id) {
     (void)entry;
     const auto* t = st_.node_as<const ir::Tasklet>(id);
     std::map<std::string, int> inputs;
@@ -446,7 +457,7 @@ class MapCompiler {
             default: break;
           }
           emit(Op::StoreWcr, (uint16_t)out, (uint16_t)off, (uint16_t)kind,
-               prog_.array_slot(e->memlet.data), 0, atomic ? 1 : 0);
+               prog_.array_slot(e->memlet.data), 0, atomic_wcr(e) ? 1 : 0);
         }
         continue;
       }

@@ -156,21 +156,26 @@ struct Gen {
     }
   }
 
-  /// Scalar expression over map indices i (rows) and j (columns).
-  std::string map_expr(int depth) {
+  /// Scalar expression over map indices i (rows) and j (columns).  It
+  /// never reads the row vector `avoid`: a map accumulating into row[j]
+  /// reduces over i, so a read of row[j] would race with other rows.
+  std::string map_expr(int depth, const std::string& avoid = "") {
     if (depth <= 0) {
       switch (rng.range(0, 3)) {
         case 0: return pick(Kind::Mat) + "[i, j]";
         case 1: return pick(Kind::Col) + "[i]";
-        case 2: return pick(Kind::Row) + "[j]";
+        case 2: {
+          std::string row = pick(Kind::Row);
+          return row == avoid ? scalar_atom() : row + "[j]";
+        }
         default: return scalar_atom();
       }
     }
     if (rng.chance(25))
-      return "np.tanh(" + map_expr(depth - 1) + ")";
+      return "np.tanh(" + map_expr(depth - 1, avoid) + ")";
     const char* ops[] = {"+", "-", "*"};
-    return "(" + map_expr(depth - 1) + " " + ops[rng.range(0, 2)] + " " +
-           map_expr(depth - 1) + ")";
+    return "(" + map_expr(depth - 1, avoid) + " " + ops[rng.range(0, 2)] +
+           " " + map_expr(depth - 1, avoid) + ")";
   }
 
   void emit(int indent, const std::string& s) {
@@ -227,7 +232,12 @@ struct Gen {
         if (!opts.allow_maps) break;
         emit(indent, "for i, j in dace.map[0:N, 0:M]:");
         if (rng.chance(35)) {  // WCR: indices do not cover both params
-          emit(indent + 1, pick(Kind::Col) + "[i] += " + map_expr(1));
+          if (rng.chance(50)) {  // the split i owns col[i]
+            emit(indent + 1, pick(Kind::Col) + "[i] += " + map_expr(1));
+          } else {  // resnet's shape: i is reduced, CPU runs it innermost
+            std::string row = pick(Kind::Row);
+            emit(indent + 1, row + "[j] += " + map_expr(1, row));
+          }
         } else {
           std::string target = pick(Kind::Mat);
           if (rng.chance(40)) {

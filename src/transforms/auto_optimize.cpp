@@ -9,7 +9,7 @@
 
 namespace dace::xf {
 
-// Registered by the device modules (gpu/fpga); CPU needs no extra pass.
+// Registered by the device modules (gpu/fpga).
 void gpu_transform_sdfg(ir::SDFG& sdfg);   // gpu_transform.cpp
 void fpga_transform_sdfg(ir::SDFG& sdfg);  // fpga_transform.cpp
 
@@ -82,6 +82,7 @@ void auto_optimize(ir::SDFG& sdfg, ir::DeviceType device,
   pipe.add("device-specialize", [device](ir::SDFG& g) {
     switch (device) {
       case ir::DeviceType::CPU:
+        order_reduced_params_last(g);
         set_toplevel_schedules(g, ir::Schedule::CPUParallel,
                                /*omp_collapse=*/true);
         break;

@@ -1,6 +1,7 @@
 #include "transforms/map_transforms.hpp"
 
 #include <algorithm>
+#include <set>
 
 namespace dace::xf {
 
@@ -216,6 +217,71 @@ bool tile_wcr_map(SDFG& sdfg, int64_t tile_size) {
     }
   }
   return false;
+}
+
+// ---------------------------------------------------------------------------
+// Reduced parameters innermost
+// ---------------------------------------------------------------------------
+
+bool order_reduced_params_last(SDFG& sdfg) {
+  bool changed = false;
+  for (int sid : sdfg.state_ids()) {
+    State& st = sdfg.state(sid);
+    for (int entry : st.node_ids()) {
+      auto* me = st.node_as<MapEntry>(entry);
+      if (!me || st.scope_of(entry) != -1 || me->params.size() < 2) continue;
+      std::vector<int> scope = st.scope_nodes(entry);
+      std::set<int> inside(scope.begin(), scope.end());
+      // Access nodes inside a map scope are private scalars (registers);
+      // only WCR stores to memory decide the order.
+      std::set<std::string> privates;
+      for (int id : scope) {
+        if (const auto* a = st.node_as<AccessNode>(id))
+          privates.insert(a->data);
+      }
+      std::set<std::string> indexing(me->params.begin(), me->params.end());
+      bool any_wcr = false;
+      for (const Edge& e : st.edges()) {
+        if (e.memlet.empty() || e.memlet.wcr == ir::WCR::None) continue;
+        if (!inside.count(e.src) || !st.node_as<Tasklet>(e.src)) continue;
+        if (privates.count(e.memlet.data)) continue;
+        any_wcr = true;
+        std::set<std::string> fs;
+        for (const auto& r : e.memlet.subset.ranges()) {
+          r.begin.free_symbols(fs);
+          r.end.free_symbols(fs);
+        }
+        std::erase_if(indexing, [&](const auto& p) { return !fs.count(p); });
+      }
+      if (!any_wcr) continue;
+      // The map's own ranges must not refer to its parameters.
+      std::set<std::string> range_syms;
+      for (const auto& r : me->range.ranges()) {
+        r.begin.free_symbols(range_syms);
+        r.end.free_symbols(range_syms);
+        r.step.free_symbols(range_syms);
+      }
+      bool rect = true;
+      for (const auto& p : me->params) rect &= !range_syms.count(p);
+      if (!rect) continue;
+      std::vector<size_t> order(me->params.size());
+      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+      std::stable_partition(order.begin(), order.end(), [&](size_t i) {
+        return indexing.count(me->params[i]) > 0;
+      });
+      if (std::is_sorted(order.begin(), order.end())) continue;
+      std::vector<std::string> params;
+      std::vector<sym::Range> ranges;
+      for (size_t i : order) {
+        params.push_back(me->params[i]);
+        ranges.push_back(me->range.range(i));
+      }
+      me->params = std::move(params);
+      me->range = Subset(std::move(ranges));
+      changed = true;
+    }
+  }
+  return changed;
 }
 
 // ---------------------------------------------------------------------------

@@ -287,6 +287,72 @@ TEST(AbsintMapFacts, StridedWriteIsNotContiguous) {
   EXPECT_FALSE(f.vectorizable);
 }
 
+// -- split ownership of WCR stores -------------------------------------------
+
+/// Map over `params`, each ranging over [0, N), whose tasklets WCR-sum a
+/// constant into out[extent] at the given element subsets.
+std::unique_ptr<SDFG> wcr_map(std::vector<std::string> params,
+                              const std::vector<Subset>& stores,
+                              Expr extent = S("N") + Expr(1)) {
+  auto g = std::make_unique<SDFG>("wcr");
+  g->add_symbol("N");
+  g->add_array("out", DType::f64, {extent});
+  g->add_arg("out");
+  State& st = g->add_state("main", true);
+  int no = st.add_access("out");
+  std::vector<Range> ranges(params.size(), Range(Expr(0), S("N")));
+  auto [me, mx] = st.add_map("m", std::move(params), Subset(ranges),
+                             ir::Schedule::CPUParallel);
+  for (const Subset& w : stores) {
+    int tl = st.add_tasklet("t", {}, CodeExpr::constant(1.0));
+    st.add_edge(me, "", tl, "", Memlet());
+    st.add_edge(tl, "__out", mx, "IN_out", Memlet("out", w, ir::WCR::Sum));
+  }
+  st.add_edge(mx, "OUT_out", no, "",
+              Memlet("out", Subset::full({extent}), ir::WCR::Sum));
+  return g;
+}
+
+size_t split_private(const SDFG& g) {
+  const State& st = g.state(0);
+  return analyze_map(g, st, find_map_entry(st), Env{}).split_private_wcr.size();
+}
+
+TEST(AbsintSplitOwnership, SplitParameterIndexingTheTargetOwnsIt) {
+  EXPECT_EQ(split_private(*wcr_map({"i", "j"}, {Subset::element({S("i")})})),
+            1u);
+  EXPECT_EQ(split_private(
+                *wcr_map({"i"}, {Subset::element({S("i") + Expr(1)})})),
+            1u);
+  // Split over the reduced j: every chunk reaches out[i].
+  EXPECT_EQ(split_private(*wcr_map({"j", "i"}, {Subset::element({S("i")})})),
+            0u);
+}
+
+TEST(AbsintSplitOwnership, EveryPairOfStoresMustStayApart) {
+  // out[i] and out[i+1] are each owned, but iteration i+1's first store
+  // meets iteration i's second one: both stay atomic.
+  Expr i = S("i");
+  EXPECT_EQ(split_private(*wcr_map(
+                {"i"}, {Subset::element({i}), Subset::element({i + Expr(1)})})),
+            0u);
+  // out[2i] and out[2i+1] never meet across iterations.
+  Expr two_i = Expr(2) * S("i");
+  EXPECT_EQ(split_private(*wcr_map({"i"},
+                                   {Subset::element({two_i}),
+                                    Subset::element({two_i + Expr(1)})},
+                                   Expr(2) * S("N"))),
+            2u);
+}
+
+TEST(AbsintSplitOwnership, UnprovenRangeIsNeverOwned) {
+  // out[i + 2] may run past out[N]: a flattened address out of range can
+  // alias another chunk's element, so the proof needs the range first.
+  EXPECT_EQ(split_private(
+                *wcr_map({"i"}, {Subset::element({S("i") + Expr(2)})})),
+            0u);
+}
+
 // -- lint --------------------------------------------------------------------
 
 int count_findings(const AnalysisReport& r, const std::string& analysis,

@@ -601,5 +601,98 @@ def f(A: dace.float64[N]):
   run_against_fresh(ex, args, {{"N", 8}});
 }
 
+// -- WCR atomicity -----------------------------------------------------------
+// A parallel map i in [0, N) with a nested map j in [0, M) doing
+// s[j] += A[i, j]: every chunk of i reaches every s[j], so the store must
+// be atomic even though it sits in a nested scope.  With s[i] += A[i, j]
+// each chunk owns its rows and the store is plain.  ctest runs this
+// suite with a 4-thread pool (tests/CMakeLists.txt), and `ctest -L tsan`
+// runs it under ThreadSanitizer.
+
+std::unique_ptr<ir::SDFG> nested_sum(bool by_row) {
+  using sym::Expr;
+  using sym::Range;
+  using sym::S;
+  using sym::Subset;
+  auto g = std::make_unique<ir::SDFG>("nested_sum");
+  g->add_symbol("N");
+  g->add_symbol("M");
+  const Expr len = S(by_row ? "N" : "M");
+  g->add_array("A", ir::DType::f64, {S("N"), S("M")});
+  g->add_array("s", ir::DType::f64, {len});
+  g->add_arg("A");
+  g->add_arg("s");
+  ir::State& st = g->add_state("main", true);
+  int na = st.add_access("A");
+  int ns = st.add_access("s");
+  auto [outer, outer_x] =
+      st.add_map("rows", {"i"}, Subset({Range(Expr(0), S("N"))}),
+                 ir::Schedule::CPUParallel);
+  auto [inner, inner_x] =
+      st.add_map("cols", {"j"}, Subset({Range(Expr(0), S("M"))}));
+  int t = st.add_tasklet("add", {"a"}, ir::CodeExpr::input("a"));
+  st.add_edge(na, "", outer, "IN_A",
+              ir::Memlet("A", Subset::full({S("N"), S("M")})));
+  st.add_edge(outer, "OUT_A", inner, "IN_A",
+              ir::Memlet("A", Subset({Range::index(S("i")),
+                                      Range(Expr(0), S("M"))})));
+  st.add_edge(inner, "OUT_A", t, "a",
+              ir::Memlet("A", Subset::element({S("i"), S("j")})));
+  st.add_edge(t, "__out", inner_x, "IN_s",
+              ir::Memlet("s", Subset::element({S(by_row ? "i" : "j")}),
+                         ir::WCR::Sum));
+  st.add_edge(inner_x, "OUT_s", outer_x, "IN_s",
+              ir::Memlet("s",
+                         by_row ? Subset::element({S("i")})
+                                : Subset::full({len}),
+                         ir::WCR::Sum));
+  st.add_edge(outer_x, "OUT_s", ns, "",
+              ir::Memlet("s", Subset::full({len}), ir::WCR::Sum));
+  return g;
+}
+
+/// Runs the nested reduction twice with A all ones; every s element must
+/// be exact.  Returns the number of atomic WCR stores in the map.
+int expect_exact_nested_sums(bool by_row, bool native) {
+  auto g = nested_sum(by_row);
+  const int64_t n = 20000, m = 64;
+  rt::Executor ex(*g);
+  for (int run = 0; run < 2; ++run) {
+    Tensor a(ir::DType::f64, {n, m});
+    for (int64_t k = 0; k < a.size(); ++k) a.set_flat(k, 1.0);
+    Tensor s(ir::DType::f64, {by_row ? n : m});
+    Bindings args{{"A", a}, {"s", s}};
+    ex.run(args, {{"N", n}, {"M", m}});
+    const double want = (double)(by_row ? m : n);
+    int64_t wrong = 0;
+    for (int64_t k = 0; k < s.size(); ++k) wrong += s.get_flat(k) != want;
+    EXPECT_EQ(wrong, 0) << "run " << run << ": s[0] = " << s.get_flat(0);
+  }
+  EXPECT_EQ(ex.native_launches() > 0, native);
+  const ir::State& st = g->state(0);
+  int atomic = 0;
+  for (int id : st.node_ids())
+    if (st.node(id)->kind == ir::NodeKind::MapEntry && st.scope_of(id) == -1)
+      for (const rt::Instr& in : rt::compile_map_scope(*g, st, id).code)
+        atomic += in.op == rt::Op::StoreWcr && in.flag;
+  return atomic;
+}
+
+TEST(ExecutorWcr, NestedSharedTargetIsExactOnTheVm) {
+  EnvGuard jit("DACEPP_JIT", "0");
+  EXPECT_EQ(expect_exact_nested_sums(/*by_row=*/false, /*native=*/false), 1);
+}
+
+TEST(ExecutorWcr, NestedSharedTargetIsExactNatively) {
+  EnvGuard thr("DACEPP_JIT_THRESHOLD", "1");
+  EnvGuard sync("DACEPP_JIT_SYNC", "1");
+  EXPECT_EQ(expect_exact_nested_sums(/*by_row=*/false, /*native=*/true), 1);
+}
+
+TEST(ExecutorWcr, NestedOwnedRowTargetIsPlainAndExact) {
+  EnvGuard jit("DACEPP_JIT", "0");
+  EXPECT_EQ(expect_exact_nested_sums(/*by_row=*/true, /*native=*/false), 0);
+}
+
 }  // namespace
 }  // namespace dace

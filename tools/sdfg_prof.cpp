@@ -7,7 +7,8 @@
 // VM instructions they retired per iteration, which execution tier they
 // reached, which optimization pass last rewrote the graph before they
 // ran, and -- for maps that reached the native tier -- what the kernel
-// planner chose (unroll/jam factors, WCR sinks, scheduler chunk grain).
+// planner chose (unroll/jam factors, WCR sinks, atomic WCR stores left,
+// scheduler chunk grain).
 //
 //   sdfg-prof t.json            human-readable report
 //   sdfg-prof --json t.json     machine-readable (DiagSink-style JSON)
@@ -319,6 +320,7 @@ struct PlanAgg {
   int64_t jam = 1;
   int64_t unroll = 1;
   int64_t sinks = 0;
+  int64_t atomic = 0;     // WCR stores that still combine atomically
   int64_t chunks = 1;     // chunk count chosen by the cost scheduler
   double ns_per_iter = 0;  // measured per-iteration cost (EMA)
 };
@@ -552,6 +554,7 @@ Report aggregate(const JV& doc) {
       pl.jam = arg_int(args, "jam");
       pl.unroll = arg_int(args, "unroll");
       pl.sinks = arg_int(args, "sinks");
+      pl.atomic = arg_int(args, "atomic");
       pl.chunks = arg_int(args, "chunks");
       if (args && args->get("ns_per_iter"))
         pl.ns_per_iter = args->get("ns_per_iter")->as_num();
@@ -761,11 +764,11 @@ std::string render_text(const Report& r, int top) {
     os << "kernel plans (first native launch per map):\n";
     for (const PlanAgg& p : r.plans) {
       snprintf(line, sizeof(line),
-               "  %-24s %-32s jam=%lld unroll=%lld sinks=%lld chunks=%lld "
-               "ns/iter=%.1f\n",
+               "  %-24s %-40s jam=%lld unroll=%lld sinks=%lld atomic=%lld "
+               "chunks=%lld ns/iter=%.1f\n",
                p.map.c_str(), p.plan.c_str(), (long long)p.jam,
-               (long long)p.unroll, (long long)p.sinks, (long long)p.chunks,
-               p.ns_per_iter);
+               (long long)p.unroll, (long long)p.sinks, (long long)p.atomic,
+               (long long)p.chunks, p.ns_per_iter);
       os << line;
     }
   }
@@ -883,7 +886,8 @@ std::string render_json(const Report& r, const std::string& file, int top) {
     os << "{\"map\":\"" << json_escape(p.map) << "\",\"plan\":\""
        << json_escape(p.plan) << "\",\"jam\":" << p.jam
        << ",\"unroll\":" << p.unroll << ",\"sinks\":" << p.sinks
-       << ",\"chunks\":" << p.chunks << ",\"ns_per_iter\":" << num << "}";
+       << ",\"atomic\":" << p.atomic << ",\"chunks\":" << p.chunks
+       << ",\"ns_per_iter\":" << num << "}";
   }
   os << "],\"ranks\":[";
   first = true;
@@ -933,7 +937,7 @@ const char* kSelftestTrace = R"TRACE({"traceEvents":[
 {"ph":"i","name":"fault","cat":"cache","pid":0,"tid":0,"ts":66100,"s":"t","args":{"kind":"torn-write","op":3}},
 {"ph":"i","name":"negative-store","cat":"cache","pid":0,"tid":0,"ts":66200,"s":"t","args":{"program":"00000000000000ff"}},
 {"ph":"X","name":"stencil","cat":"node","pid":0,"tid":0,"ts":70000,"dur":1000,"args":{"kind":"map","state":1,"node":2,"tier":1,"iters":1000}},
-{"ph":"i","name":"kernel-plan","cat":"tier","pid":0,"tid":0,"ts":71000,"s":"t","args":{"map":"stencil","plan":"loops=3 jam=4 unroll=4 sink=1","jam":4,"unroll":4,"sinks":1,"chunks":8,"ns_per_iter":2.5}},
+{"ph":"i","name":"kernel-plan","cat":"tier","pid":0,"tid":0,"ts":71000,"s":"t","args":{"map":"stencil","plan":"loops=3 jam=4 unroll=4 sink=1 atomic=1","jam":4,"unroll":4,"sinks":1,"atomic":1,"chunks":8,"ns_per_iter":2.5}},
 {"ph":"i","name":"start","cat":"serve","pid":0,"tid":0,"ts":80000,"s":"t","args":{"socket":"/tmp/s.sock","workers":2}},
 {"ph":"i","name":"accepted","cat":"serve","pid":0,"tid":0,"ts":80100,"s":"t","args":{"key":"00000000000000aa"}},
 {"ph":"i","name":"dedup","cat":"serve","pid":0,"tid":0,"ts":80200,"s":"t","args":{"key":"00000000000000aa"}},
@@ -979,8 +983,8 @@ const char* kSelftestGolden =
     "  queue wait ms: p50=2.000 p90=8.000 p99=8.000 (2 jobs); "
     "exec 5.000 ms total (1 runs)\n"
     "kernel plans (first native launch per map):\n"
-    "  stencil                  loops=3 jam=4 unroll=4 sink=1    "
-    "jam=4 unroll=4 sinks=1 chunks=8 ns/iter=2.5\n"
+    "  stencil                  loops=3 jam=4 unroll=4 sink=1 atomic=1   "
+    "jam=4 unroll=4 sinks=1 atomic=1 chunks=8 ns/iter=2.5\n"
     "virtual ranks:\n"
     "  rank 0: 1 comm ops, 1 faults [drop=1], 1 retransmits\n"
     "  rank 1: 1 comm ops, 0 faults, 0 retransmits\n";
@@ -1048,6 +1052,7 @@ int selftest() {
   if (!plans || plans->kind != JV::Arr || plans->arr.size() != 1 ||
       plans->arr[0].get("map")->as_str() != "stencil" ||
       (int)plans->arr[0].get("jam")->as_num() != 4 ||
+      (int)plans->arr[0].get("atomic")->as_num() != 1 ||
       (int)plans->arr[0].get("chunks")->as_num() != 8) {
     std::fprintf(stderr, "sdfg-prof selftest: bad kernel-plan aggregation\n");
     return 1;
